@@ -16,7 +16,6 @@
 #include "support/Units.h"
 #include "tools/RegisterTools.h"
 #include "tools/WorkingSetTool.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
@@ -30,17 +29,16 @@ int main() {
   TablePrinter Table({"Sample Rate", "CS-CPU Time", "Working Set",
                       "WS vs full"});
   for (double Rate : {1.0, 0.5, 0.1, 0.01}) {
-    WorkloadConfig Config;
-    Config.Model = "bert";
-    Config.Gpu = "A100";
-    Config.Backend = TraceBackend::SanitizerCpu;
-    Config.SampleRate = Rate;
-    Config.RecordGranularityBytes = bench::recordGranularity();
-    Profiler Prof;
-    auto *Ws = static_cast<WorkingSetTool *>(
-        Prof.addToolByName("working_set_host"));
-    WorkloadResult Result = runWorkload(Config, Prof);
-    auto Summary = Ws->summary();
+    std::unique_ptr<Session> S =
+        bench::buildSession(SessionBuilder()
+                                .tool("working_set_host")
+                                .backend("cs-cpu")
+                                .gpu("A100")
+                                .model("bert")
+                                .sampleRate(Rate));
+    SessionResult Result = S->run();
+    // Both working-set registry entries report under "working_set".
+    auto Summary = S->toolAs<WorkingSetTool>("working_set")->summary();
     if (Rate == 1.0)
       ReferenceWs = Summary.WorkingSetBytes;
     Table.addRow(

@@ -13,9 +13,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "dl/Models.h"
 #include "support/TablePrinter.h"
 #include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
@@ -24,14 +24,14 @@ namespace {
 
 double runLevel(const dl::ModelConfig &Model, const char *Gpu,
                 PrefetchLevel Level, std::uint64_t LimitBytes) {
-  WorkloadConfig Config;
-  Config.Model = Model.Name;
-  Config.Gpu = Gpu;
-  Config.Managed = true;
-  Config.Prefetch = Level;
-  Config.MemoryLimitBytes = LimitBytes;
-  Profiler Prof;
-  return static_cast<double>(runWorkload(Config, Prof).Stats.wallTime());
+  std::unique_ptr<Session> S =
+      bench::buildSession(SessionBuilder()
+                              .gpu(Gpu)
+                              .model(Model.Name)
+                              .managed()
+                              .prefetch(Level)
+                              .memoryLimit(LimitBytes));
+  return static_cast<double>(S->run().Stats.wallTime());
 }
 
 } // namespace

@@ -15,9 +15,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "dl/Models.h"
 #include "support/TablePrinter.h"
 #include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
@@ -25,23 +25,21 @@ using namespace pasta::tools;
 namespace {
 
 std::uint64_t footprintOf(const dl::ModelConfig &Model, const char *Gpu) {
-  WorkloadConfig Config;
-  Config.Model = Model.Name;
-  Config.Gpu = Gpu;
-  Profiler Prof;
-  return runWorkload(Config, Prof).Stats.PeakReserved;
+  return bench::buildSession(SessionBuilder().gpu(Gpu).model(Model.Name))
+      ->run()
+      .Stats.PeakReserved;
 }
 
 double runLevel(const dl::ModelConfig &Model, const char *Gpu,
                 PrefetchLevel Level, std::uint64_t LimitBytes) {
-  WorkloadConfig Config;
-  Config.Model = Model.Name;
-  Config.Gpu = Gpu;
-  Config.Managed = true;
-  Config.Prefetch = Level;
-  Config.MemoryLimitBytes = LimitBytes;
-  Profiler Prof;
-  return static_cast<double>(runWorkload(Config, Prof).Stats.wallTime());
+  std::unique_ptr<Session> S =
+      bench::buildSession(SessionBuilder()
+                              .gpu(Gpu)
+                              .model(Model.Name)
+                              .managed()
+                              .prefetch(Level)
+                              .memoryLimit(LimitBytes));
+  return static_cast<double>(S->run().Stats.wallTime());
 }
 
 } // namespace

@@ -16,7 +16,6 @@
 #include "bench/BenchUtil.h"
 #include "tools/HotnessTool.h"
 #include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 #include <algorithm>
 #include <map>
@@ -29,15 +28,11 @@ int main() {
   bench::banner("Memory access hotness of BERT inference over time",
                 "paper Figure 13");
 
-  WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Gpu = "A100";
-  Config.Backend = TraceBackend::SanitizerGpu;
-  Config.RecordGranularityBytes = bench::recordGranularity();
-
-  Profiler Prof;
-  auto *Hot = static_cast<HotnessTool *>(Prof.addToolByName("hotness"));
-  runWorkload(Config, Prof);
+  std::unique_ptr<Session> S = bench::buildSession(
+      SessionBuilder().tool("hotness").backend("cs-gpu").gpu("A100").model(
+          "bert"));
+  S->run();
+  auto *Hot = S->toolAs<HotnessTool>("hotness");
 
   // Collect per-block window activity.
   std::map<sim::DeviceAddr, std::vector<std::uint64_t>> Rows;

@@ -13,10 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
-#include "cuda/CudaRuntime.h"
-#include "dl/Executor.h"
 #include "dl/Megatron.h"
-#include "pasta/Profiler.h"
 #include "support/TablePrinter.h"
 #include "support/Units.h"
 #include "tools/MemUsageTimelineTool.h"
@@ -33,23 +30,17 @@ int main() {
   for (dl::ParallelStrategy Strategy :
        {dl::ParallelStrategy::Data, dl::ParallelStrategy::Tensor,
         dl::ParallelStrategy::Pipeline}) {
-    sim::System System({sim::a100Spec(), sim::a100Spec()});
-    cuda::CudaRuntime Cuda(System);
-    Profiler Prof;
-    auto *Timeline = static_cast<MemUsageTimelineTool *>(
-        Prof.addToolByName("mem_usage_timeline"));
-    Prof.attachCuda(Cuda, 0);
-    Prof.attachCuda(Cuda, 1);
-
     dl::MegatronConfig Config;
+    std::unique_ptr<Session> S =
+        bench::buildSession(SessionBuilder()
+                                .tool("mem_usage_timeline")
+                                .gpu("A100")
+                                .deviceCount(Config.NumGpus));
+    auto *Timeline = S->toolAs<MemUsageTimelineTool>("mem_usage_timeline");
+
     auto Programs = dl::buildMegatronGpt2(Strategy, Config);
-    for (int Rank = 0; Rank < Config.NumGpus; ++Rank) {
-      dl::CudaDeviceApi Api(Cuda, Rank);
-      dl::CallbackRegistry Callbacks;
-      Prof.attachDl(Callbacks);
-      dl::Executor Executor(Api, Callbacks);
-      Executor.run(Programs[Rank]);
-    }
+    for (int Rank = 0; Rank < Config.NumGpus; ++Rank)
+      S->runProgram(Programs[Rank], Rank);
 
     std::printf("\n[%s]\n", dl::parallelStrategyName(Strategy));
     TablePrinter Table({"GPU", "Tensor Events", "Peak Usage"});
@@ -63,7 +54,7 @@ int main() {
                   bench::sparkline(
                       bench::downsample(Timeline->series(Rank), 72))
                       .c_str());
-    Prof.finish();
+    S->finish();
   }
   std::printf("\nchecks vs paper: DP usage identical across GPUs; TP "
               "peak about half of DP (model sharding); PP asymmetric "

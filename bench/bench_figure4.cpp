@@ -16,7 +16,6 @@
 #include "support/Env.h"
 #include "tools/RegisterTools.h"
 #include "tools/WorkingSetTool.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
@@ -28,16 +27,11 @@ int main() {
       "paper Figure 4");
   setEnvOverride("MAX_MEM_REFERENCED_KERNEL", "1");
 
-  WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Gpu = "A100";
-  Config.Backend = TraceBackend::SanitizerGpu;
-  Config.RecordGranularityBytes = bench::recordGranularity();
-
-  Profiler Prof;
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  runWorkload(Config, Prof);
+  std::unique_ptr<Session> S = bench::buildSession(
+      SessionBuilder().tool("working_set").backend("cs-gpu").gpu("A100").model(
+          "bert"));
+  S->run();
+  auto *Ws = S->toolAs<WorkingSetTool>("working_set");
 
   std::printf("\nkernel with the highest memory reference count: %s\n\n%s",
               Ws->maxReferencedKernel().c_str(),

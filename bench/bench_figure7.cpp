@@ -13,10 +13,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "dl/Models.h"
 #include "support/TablePrinter.h"
 #include "tools/KernelFrequencyTool.h"
 #include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
@@ -28,15 +28,14 @@ int main() {
 
   for (bool Training : {false, true}) {
     for (const dl::ModelConfig &Model : dl::modelZoo()) {
-      WorkloadConfig Config;
-      Config.Model = Model.Name;
-      Config.Training = Training;
-      Config.Gpu = "A100";
-
-      Profiler Prof;
-      auto *Freq = static_cast<KernelFrequencyTool *>(
-          Prof.addToolByName("kernel_frequency"));
-      runWorkload(Config, Prof);
+      std::unique_ptr<Session> S =
+          bench::buildSession(SessionBuilder()
+                                  .tool("kernel_frequency")
+                                  .gpu("A100")
+                                  .model(Model.Name)
+                                  .training(Training));
+      S->run();
+      auto *Freq = S->toolAs<KernelFrequencyTool>("kernel_frequency");
 
       auto Sorted = Freq->sorted();
       std::printf("\n[%s %s] %llu launches, %zu distinct kernels\n",

@@ -60,7 +60,7 @@ struct TraceOptions {
 /// Subscribes to vendor + framework hooks and normalizes into Events.
 ///
 /// Lifetime: attached runtimes must outlive this handler, or detach()
-/// must be called while they are still alive (Profiler::finish() does).
+/// must be called while they are still alive (Session::finish() does).
 class EventHandler {
 public:
   explicit EventHandler(EventProcessor &Processor);

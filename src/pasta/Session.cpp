@@ -20,38 +20,12 @@
 #include "tools/TraceCaptureTool.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace pasta;
 
-namespace {
-
-ProfilerOptions profilerOptions(const SessionOptions &Opts) {
-  ProfilerOptions ProfOpts;
-  // The backend flavor is decided by PlatformBackend::attach; the
-  // profiler-side trace options only carry the tuning knobs.
-  ProfOpts.Trace.SampleRate = Opts.SampleRate;
-  ProfOpts.Trace.RecordGranularityBytes = Opts.RecordGranularityBytes;
-  ProfOpts.Trace.DeviceBufferRecords = Opts.DeviceBufferRecords;
-  ProfOpts.Processor.AnalysisThreads = Opts.AnalysisThreads;
-  ProfOpts.Processor.AsyncEvents = Opts.AsyncEvents;
-  ProfOpts.Processor.QueueDepth = Opts.QueueDepth;
-  ProfOpts.Processor.Overflow = Opts.Overflow;
-  ProfOpts.Processor.SampleEveryN = Opts.SampleEveryN;
-  ProfOpts.Processor.DispatchThreads = Opts.DispatchThreads;
-  ProfOpts.Processor.ArenaShards = Opts.ArenaShards;
-  ProfOpts.Processor.ArenaMemo = Opts.ArenaMemo;
-  ProfOpts.Processor.ArenaMaxBytes = Opts.ArenaMaxBytes;
-  ProfOpts.Processor.LanesAuto = Opts.LanesAuto;
-  ProfOpts.Processor.MinLanes = Opts.MinLanes;
-  ProfOpts.Processor.MaxLanes = Opts.MaxLanes;
-  ProfOpts.Processor.Validate = Opts.Validate;
-  return ProfOpts;
-}
-
-} // namespace
-
 Session::Session(const SessionOptions &Opts)
-    : Opts(Opts), Prof(profilerOptions(Opts)) {}
+    : Opts(Opts), Processor(Opts.Processor), Handler(Processor) {}
 
 Session::~Session() {
   if (!Finished)
@@ -86,15 +60,15 @@ bool Session::initialize(std::vector<std::unique_ptr<Tool>> ExtraTools,
     std::unique_ptr<Tool> T = ToolRegistry::instance().create(Name, Err);
     if (!T)
       return false;
-    Prof.addTool(std::move(T));
+    addTool(std::move(T));
   }
   for (std::unique_ptr<Tool> &T : ExtraTools)
-    Prof.addTool(std::move(T));
+    addTool(std::move(T));
   if (!Opts.CapturePath.empty()) {
     auto Capture = std::make_unique<tools::TraceCaptureTool>(Opts.CapturePath);
     if (!Capture->openNow(Err))
       return false;
-    Prof.addTool(std::move(Capture));
+    addTool(std::move(Capture));
   }
   // Transport knobs: env-resolved defaults, overridden by any builder
   // knob the caller actually set (sentinels mean "inherit").
@@ -118,38 +92,40 @@ bool Session::initialize(std::vector<std::unique_ptr<Tool>> ExtraTools,
     Forward->setClientOptions(ClientOpts);
     if (!Forward->openNow(Err))
       return false;
-    Prof.addTool(std::move(Forward));
+    addTool(std::move(Forward));
   }
   // Every forwarder — --connect's and registry-created ("--tool
   // stream_forward") alike — gets the resolved transport knobs and the
   // pipeline-counter source for its finish-time meta frame.
-  for (const std::unique_ptr<Tool> &T : Prof.tools()) {
+  for (const std::unique_ptr<Tool> &T : Tools) {
     if (auto *Forward = dynamic_cast<tools::StreamForwardTool *>(T.get())) {
       Forward->setClientOptions(ClientOpts);
       Forward->setPipelineStatsProvider(
-          [this] { return Prof.processor().stats(); });
+          [this] { return Processor.stats(); });
     }
   }
 
   // Capability negotiation: enable only the instrumentation some tool
   // actually consumes.
-  for (const std::unique_ptr<Tool> &T : Prof.tools())
+  for (const std::unique_ptr<Tool> &T : Tools)
     Required |= T->requirements();
-  Negotiated =
-      Opts.Negotiate ? Required & Backend->capabilities() : Backend->capabilities();
+  Negotiated = Required & Backend->capabilities();
   CapabilitySet Missing = unsatisfied();
-  if (Opts.Negotiate && !Missing.empty())
+  if (!Missing.empty())
     logWarning("backend '" + Opts.Backend + "' cannot satisfy tool "
                "requirements: " + Missing.str());
 
-  // One source of truth for the tuning knobs: profilerOptions() already
-  // translated SessionOptions into TraceOptions.
-  const TraceOptions &Trace = Prof.options().Trace;
+  // The backend flavor is decided by PlatformBackend::attach; the trace
+  // options only carry the tuning knobs.
+  TraceOptions Trace;
+  Trace.SampleRate = Opts.SampleRate;
+  Trace.RecordGranularityBytes = Opts.RecordGranularityBytes;
+  Trace.DeviceBufferRecords = Opts.DeviceBufferRecords;
   for (int Rank = 0; Rank < Opts.DeviceCount; ++Rank) {
     DeviceApis.push_back(Backend->createRuntime(*System, Rank));
-    Backend->attach(Prof.handler(), Rank, Negotiated, Trace);
+    Backend->attach(Handler, Rank, Negotiated, Trace);
   }
-  Prof.attachDl(Callbacks);
+  Handler.attachDl(Callbacks);
   return true;
 }
 
@@ -163,7 +139,7 @@ Session::run(const std::function<void(dl::Executor &)> &Customize) {
     SessionResult Result;
     ReplayStats Stats;
     SessionError Err;
-    if (!Replay->replayInto(Prof.processor(), Stats, Err))
+    if (!Replay->replayInto(Processor, Stats, Err))
       logWarning("replay failed: " + Err.message());
     Result.Stats.StartTime = Stats.FirstTimestamp;
     Result.Stats.EndTime = Stats.LastTimestamp;
@@ -209,13 +185,22 @@ void Session::finish() {
   if (Finished)
     return;
   Finished = true;
-  Prof.finish();
+  Handler.detach();
+  // Hard flush barrier: every admitted event must reach the tools before
+  // onFinish snapshots their state (async reports stay deterministic).
+  Processor.flush();
+  for (std::unique_ptr<Tool> &T : Tools)
+    if (!isDetached(T.get()))
+      T->onFinish();
 }
 
-void Session::writeReports(ReportSink &Sink) { Prof.writeReports(Sink); }
+void Session::writeReports(ReportSink &Sink) { writeReports(Sink, true); }
 
 void Session::writeReports(ReportSink &Sink, bool Close) {
-  Prof.writeReports(Sink, Close);
+  for (std::unique_ptr<Tool> &T : Tools)
+    T->report(Sink);
+  if (Close)
+    Sink.close();
 }
 
 void Session::writeReports(std::FILE *Out) {
@@ -224,22 +209,55 @@ void Session::writeReports(std::FILE *Out) {
 }
 
 void Session::writePipelineReport(ReportSink &Sink) {
-  Prof.processor().reportPipeline(Sink);
+  Processor.reportPipeline(Sink);
+}
+
+bool Session::isDetached(const Tool *T) const {
+  return std::find(Detached.begin(), Detached.end(), T) != Detached.end();
 }
 
 Tool *Session::tool(const std::string &Name) const {
   // Detached tools stay in tools() (their frozen reports remain in the
   // output) but are no longer part of the live tool set this accessor
   // answers for — so detach-then-reattach round-trips work.
-  for (const std::unique_ptr<Tool> &T : Prof.tools())
-    if (T->name() == Name && !Prof.isDetached(T.get()))
+  for (const std::unique_ptr<Tool> &T : Tools)
+    if (T->name() == Name && !isDetached(T.get()))
       return T.get();
   return nullptr;
 }
 
+Tool *Session::addTool(std::unique_ptr<Tool> T) {
+  assert(T && "null tool");
+  Tool *Raw = T.get();
+  if (!Processor.addTool(Raw))
+    return nullptr; // rejected: called from inside a dispatch context
+  Tools.push_back(std::move(T));
+  Raw->onStart();
+  return Raw;
+}
+
 Tool *Session::addToolByName(const std::string &Name) {
   tools::registerBuiltinTools();
-  return Prof.addToolByName(Name);
+  SessionError Err;
+  std::unique_ptr<Tool> T = ToolRegistry::instance().create(Name, Err);
+  if (!T) {
+    logWarning(Err.message());
+    return nullptr;
+  }
+  return addTool(std::move(T));
+}
+
+bool Session::detachTool(const std::string &Name) {
+  // The first same-name tool still attached; earlier detached ones keep
+  // their frozen reports.
+  Tool *T = tool(Name);
+  if (!T || !Processor.removeTool(T))
+    return false; // absent, or called from inside a dispatch context
+  // The swap's drain barrier delivered every pre-detach admission; the
+  // tool's report is now a frozen snapshot of its attached window.
+  T->onFinish();
+  Detached.push_back(T);
+  return true;
 }
 
 std::unique_ptr<Session> SessionBuilder::build(SessionError &Err) {
@@ -285,32 +303,33 @@ std::unique_ptr<Session> SessionBuilder::build(SessionError &Err) {
     Err.assign("iteration count must be >= 0 (0 = model default)");
     return nullptr;
   }
-  if (Opts.QueueDepth == 0) {
+  const ProcessorOptions &Proc = Opts.Processor;
+  if (Proc.QueueDepth == 0) {
     Err.assign("event queue depth must be positive");
     return nullptr;
   }
-  if (Opts.SampleEveryN == 0) {
+  if (Proc.SampleEveryN == 0) {
     Err.assign("overflow sample modulus must be positive");
     return nullptr;
   }
-  if (Opts.DispatchThreads == 0 || Opts.DispatchThreads > 64) {
+  if (Proc.DispatchThreads == 0 || Proc.DispatchThreads > 64) {
     Err.assign("dispatch thread count must be in [1, 64]");
     return nullptr;
   }
-  if (Opts.ArenaShards > 64) {
+  if (Proc.ArenaShards > 64) {
     Err.assign("arena shard count must be in [1, 64] (0 = auto)");
     return nullptr;
   }
-  if (Opts.MaxLanes > 64) {
+  if (Proc.MaxLanes > 64) {
     Err.assign("max lane count must be in [1, 64] (0 = auto)");
     return nullptr;
   }
-  if (Opts.MinLanes > 64) {
+  if (Proc.MinLanes > 64) {
     Err.assign("min lane count must be in [1, 64] (0 = auto)");
     return nullptr;
   }
-  if (Opts.MinLanes != 0 && Opts.MaxLanes != 0 &&
-      Opts.MinLanes > Opts.MaxLanes) {
+  if (Proc.MinLanes != 0 && Proc.MaxLanes != 0 &&
+      Proc.MinLanes > Proc.MaxLanes) {
     Err.assign("min lane count must not exceed max lane count");
     return nullptr;
   }

@@ -37,10 +37,13 @@
 
 #include "dl/Callbacks.h"
 #include "pasta/Backend.h"
-#include "pasta/Profiler.h"
+#include "pasta/EventHandler.h"
+#include "pasta/EventProcessor.h"
+#include "pasta/Tool.h"
 #include "tools/UvmPrefetcher.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -52,6 +55,8 @@ namespace dl {
 class Executor;
 class Program;
 } // namespace dl
+
+class ReportSink;
 
 /// Outcome of one Session::run().
 struct SessionResult {
@@ -80,45 +85,10 @@ struct SessionOptions {
   double SampleRate = 1.0;
   std::uint64_t RecordGranularityBytes = 4096;
   std::uint64_t DeviceBufferRecords = 1u << 20;
-  /// Device-analysis thread-pool width (0 = hardware concurrency).
-  std::size_t AnalysisThreads = 0;
-  /// Decouple event collection from tool analysis: events are admitted
-  /// into a bounded queue and dispatched on a dedicated thread.
-  /// (Defaults mirror ProcessorOptions, the single source of truth.)
-  bool AsyncEvents = ProcessorOptions().AsyncEvents;
-  /// Capacity of the async event queue.
-  std::size_t QueueDepth = ProcessorOptions().QueueDepth;
-  /// What happens to events arriving while the async queue is full.
-  OverflowPolicy Overflow = ProcessorOptions().Overflow;
-  /// The Sample overflow policy's N (1/N of overflowing events kept).
-  std::uint64_t SampleEveryN = ProcessorOptions().SampleEveryN;
-  /// Dispatch lanes when AsyncEvents is on: Serial-contract tools are
-  /// pinned round-robin, ShardByDevice/Concurrent tools run on each
-  /// event's home lane.
-  std::size_t DispatchThreads = ProcessorOptions().DispatchThreads;
-  /// Content-hash shards for the payload arena's intern tables (0 =
-  /// hardware-concurrency-derived default, clamped to [1, 64]).
-  std::size_t ArenaShards = ProcessorOptions().ArenaShards;
-  /// Thread-local intern memo in front of the arena shards.
-  bool ArenaMemo = ProcessorOptions().ArenaMemo;
-  /// Resident arena payload byte cap (0 = unlimited); past it, new
-  /// payloads fall back to per-event owned pins and are counted.
-  std::uint64_t ArenaMaxBytes = ProcessorOptions().ArenaMaxBytes;
-  /// Lane auto-scaling: a controller samples queue back-pressure
-  /// (parks/enqueue deltas) and grows or shrinks the active lane set
-  /// within [MinLanes, MaxLanes] at epoch boundaries.
-  bool LanesAuto = ProcessorOptions().LanesAuto;
-  /// Auto-scaling floor (0 = 1). Only meaningful with LanesAuto.
-  std::size_t MinLanes = ProcessorOptions().MinLanes;
-  /// Auto-scaling ceiling (0 = max(DispatchThreads, 4), capped at 64).
-  std::size_t MaxLanes = ProcessorOptions().MaxLanes;
-  /// Runtime contract validation (pasta/Validate.h): Serial overlap and
-  /// lane-affinity watchdogs, subscription checks, payload canaries,
-  /// flush-barrier assertions.
-  bool Validate = ProcessorOptions().Validate;
-  /// When false, the backend enables everything it supports regardless of
-  /// tool requirements (legacy Profiler behavior).
-  bool Negotiate = true;
+  /// Dispatch-unit configuration: analysis-thread width, async event
+  /// pipeline, queue depth and overflow policy, dispatch lanes, payload
+  /// arena, lane auto-scaling and runtime contract validation.
+  ProcessorOptions Processor;
   /// Non-empty: capture the admitted event stream into this binary trace
   /// file (a trace_capture tool is attached automatically; see
   /// docs/TRACE_FORMAT.md).
@@ -160,8 +130,10 @@ public:
   //===--------------------------------------------------------------------===
   // Annotation API (pasta.start / pasta.stop; paper Listing 1)
   //===--------------------------------------------------------------------===
-  void start() { Prof.start(); }
-  void stop() { Prof.stop(); }
+  // Routed through the processor so the async pipeline flushes first and
+  // the region boundary falls between the same events as in sync mode.
+  void start() { Processor.annotationStart(); }
+  void stop() { Processor.annotationStop(); }
 
   //===--------------------------------------------------------------------===
   // Running work
@@ -205,16 +177,14 @@ public:
   PlatformBackend &backend() { return *Backend; }
   /// Union of the attached tools' requirements.
   const CapabilitySet &required() const { return Required; }
-  /// Event classes actually instrumented (required ∩ backend caps, or
-  /// the full backend capability set when negotiation is off).
+  /// Event classes actually instrumented (required ∩ backend caps).
   const CapabilitySet &negotiated() const { return Negotiated; }
   /// Requirements the backend could not satisfy (empty when all good).
   CapabilitySet unsatisfied() const {
     return Required.minus(Backend->capabilities());
   }
 
-  Profiler &profiler() { return Prof; }
-  EventProcessor &processor() { return Prof.processor(); }
+  EventProcessor &processor() { return Processor; }
   sim::System &system() { return *System; }
   dl::CallbackRegistry &callbacks() { return Callbacks; }
   /// First tool with \p Name, null when absent. The typed variant is a
@@ -225,9 +195,9 @@ public:
   template <typename ToolT> ToolT *toolAs(const std::string &Name) const {
     return dynamic_cast<ToolT *>(tool(Name));
   }
-  const std::vector<std::unique_ptr<Tool>> &tools() const {
-    return Prof.tools();
-  }
+  /// Every tool the session owns, detached ones included (their frozen
+  /// reports stay in writeReports()).
+  const std::vector<std::unique_ptr<Tool>> &tools() const { return Tools; }
 
   //===--------------------------------------------------------------------===
   // Live reconfiguration
@@ -237,16 +207,16 @@ public:
   /// event admitted afterwards. Returns the raw pointer, or null when
   /// called from inside a dispatch context (a tool hook cannot
   /// reconfigure the pipeline that is delivering to it).
-  Tool *addTool(std::unique_ptr<Tool> T) { return Prof.addTool(std::move(T)); }
-  /// Registry-name variant of the live addTool.
+  Tool *addTool(std::unique_ptr<Tool> T);
+  /// Registry-name variant of the live addTool; null (with a warning)
+  /// when the name is not registered.
   Tool *addToolByName(const std::string &Name);
   /// Detaches the named tool from the running session: pre-detach
   /// admissions drain into it, its onFinish runs, and its report
   /// freezes — it still appears in writeReports(). Returns false when
-  /// no attached tool has that name.
-  bool detachTool(const std::string &Name) {
-    return Prof.detachToolByName(Name);
-  }
+  /// no attached tool has that name or when called from a dispatch
+  /// context.
+  bool detachTool(const std::string &Name);
 
 private:
   friend class SessionBuilder;
@@ -256,11 +226,21 @@ private:
   /// with \p Err set on failure.
   bool initialize(std::vector<std::unique_ptr<Tool>> ExtraTools,
                   SessionError &Err);
+  bool isDetached(const Tool *T) const;
 
+  // Declaration order is destruction order reversed: tools and handler
+  // go before the processor that routes to them, and the processor
+  // before the backend runtimes and simulated system it is attached to.
   SessionOptions Opts;
   std::unique_ptr<sim::System> System;
   std::unique_ptr<PlatformBackend> Backend;
-  Profiler Prof;
+  EventProcessor Processor;
+  EventHandler Handler;
+  std::vector<std::unique_ptr<Tool>> Tools;
+  /// Tools detached from the live pipeline: onFinish already ran at
+  /// detach (their reports are frozen snapshots of the attached window),
+  /// so finish() must not run it again.
+  std::vector<const Tool *> Detached;
   dl::CallbackRegistry Callbacks;
   std::vector<std::unique_ptr<dl::DeviceApi>> DeviceApis;
   CapabilitySet Required;
@@ -337,53 +317,53 @@ public:
     return *this;
   }
   SessionBuilder &analysisThreads(std::size_t Threads) {
-    Opts.AnalysisThreads = Threads;
+    Opts.Processor.AnalysisThreads = Threads;
     return *this;
   }
   /// Runs event dispatch on a dedicated thread behind a bounded queue
   /// (paper §III-B's decoupled dispatch unit).
   SessionBuilder &asyncEvents(bool Enabled = true) {
-    Opts.AsyncEvents = Enabled;
+    Opts.Processor.AsyncEvents = Enabled;
     return *this;
   }
   SessionBuilder &queueDepth(std::size_t Depth) {
-    Opts.QueueDepth = Depth;
+    Opts.Processor.QueueDepth = Depth;
     return *this;
   }
   SessionBuilder &overflowPolicy(OverflowPolicy Policy) {
-    Opts.Overflow = Policy;
+    Opts.Processor.Overflow = Policy;
     return *this;
   }
   /// The Sample overflow policy's N (1/N of overflowing events kept).
   SessionBuilder &sampleEveryN(std::uint64_t N) {
-    Opts.SampleEveryN = N;
+    Opts.Processor.SampleEveryN = N;
     return *this;
   }
   /// Number of dispatch lanes for the asynchronous pipeline. Tools with
   /// ShardByDevice/Concurrent contracts spread across lanes; Serial
   /// tools stay pinned to one.
   SessionBuilder &dispatchThreads(std::size_t Threads) {
-    Opts.DispatchThreads = Threads;
+    Opts.Processor.DispatchThreads = Threads;
     return *this;
   }
   /// Content-hash shards for the payload arena (0 = hardware-derived
   /// default). More shards cut admission contention when many producer
   /// threads intern string-bearing events concurrently.
   SessionBuilder &arenaShards(std::size_t Shards) {
-    Opts.ArenaShards = Shards;
+    Opts.Processor.ArenaShards = Shards;
     return *this;
   }
   /// Toggles the thread-local intern memo in front of the arena shards
   /// (on by default; repeated payloads resolve with zero locks).
   SessionBuilder &arenaMemo(bool Enabled = true) {
-    Opts.ArenaMemo = Enabled;
+    Opts.Processor.ArenaMemo = Enabled;
     return *this;
   }
   /// Caps resident arena payload bytes (0 = unlimited). Past the cap,
   /// new payloads are admitted as per-event owned pins and counted as
   /// arena.evicted_fallbacks.
   SessionBuilder &arenaMaxBytes(std::uint64_t Bytes) {
-    Opts.ArenaMaxBytes = Bytes;
+    Opts.Processor.ArenaMaxBytes = Bytes;
     return *this;
   }
   /// Lets the pipeline grow/shrink its dispatch-lane set from observed
@@ -392,17 +372,17 @@ public:
   /// stay byte-identical at any lane count. Implies nothing about
   /// asyncEvents — auto-scaling without the async pipeline is inert.
   SessionBuilder &lanesAuto(bool Enabled = true) {
-    Opts.LanesAuto = Enabled;
+    Opts.Processor.LanesAuto = Enabled;
     return *this;
   }
   /// Auto-scaling floor (0 = 1 lane).
   SessionBuilder &minLanes(std::size_t Count) {
-    Opts.MinLanes = Count;
+    Opts.Processor.MinLanes = Count;
     return *this;
   }
   /// Auto-scaling ceiling (0 = max(dispatchThreads, 4), capped at 64).
   SessionBuilder &maxLanes(std::size_t Count) {
-    Opts.MaxLanes = Count;
+    Opts.Processor.MaxLanes = Count;
     return *this;
   }
   /// Turns on the runtime contract validator (docs/VALIDATION.md): the
@@ -411,11 +391,7 @@ public:
   /// aborts on the first violation (override with
   /// Validator::setHandler).
   SessionBuilder &validate(bool Enabled = true) {
-    Opts.Validate = Enabled;
-    return *this;
-  }
-  SessionBuilder &negotiate(bool Enabled) {
-    Opts.Negotiate = Enabled;
+    Opts.Processor.Validate = Enabled;
     return *this;
   }
   /// Captures the admitted event stream into \p Path (binary trace; a

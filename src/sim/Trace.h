@@ -90,7 +90,8 @@ struct DeviceTraceConfig {
   /// each fill forces a stall-fetch-reset round trip.
   std::uint64_t DeviceBufferRecords = 1u << 20;
   /// Fraction of real accesses represented in generated records (the
-  /// ACCEL_PROF_ENV_SAMPLE_RATE escape hatch; costs scale down with it).
+  /// paper artifact's ACCEL_PROF_ENV_SAMPLE_RATE escape hatch; costs
+  /// scale down with it).
   double SampleRate = 1.0;
   /// One sampled MemAccessRecord is emitted per this many bytes of dynamic
   /// access volume (wall-clock knob for the reproduction; the simulated

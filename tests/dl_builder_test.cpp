@@ -266,6 +266,12 @@ struct ZooCase {
   bool Training;
 };
 
+// Without this, GoogleTest prints the raw bytes of Name's address into
+// the listed test name, so the name changed with every build.
+void PrintTo(const ZooCase &C, std::ostream *OS) {
+  *OS << C.Name << (C.Training ? " train" : " infer");
+}
+
 class ModelZooSweep : public ::testing::TestWithParam<ZooCase> {};
 
 TEST_P(ModelZooSweep, ProgramsAreStructurallyValid) {

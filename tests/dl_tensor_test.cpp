@@ -1,4 +1,4 @@
-//===- tests/dl_tensor_test.cpp - tensor/shape/profiler misc tests --------===//
+//===- tests/dl_tensor_test.cpp - tensor/shape/session misc tests ---------===//
 //
 // Part of the PASTA reproduction, under the MIT license.
 //
@@ -6,10 +6,7 @@
 
 #include "dl/Models.h"
 #include "dl/Tensor.h"
-#include "pasta/Profiler.h"
-#include "support/Env.h"
-#include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
+#include "tests/TestSession.h"
 
 #include <gtest/gtest.h>
 
@@ -88,7 +85,7 @@ TEST(TableIITest, AllThreeLevelsPopulated) {
 }
 
 //===----------------------------------------------------------------------===//
-// Profiler lifecycle
+// Session lifecycle
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -103,93 +100,89 @@ public:
   int Starts = 0, Finishes = 0;
 };
 
+// pasta-lint: allow(tool-subscription) — lifecycle hooks only.
+class FinishProbe : public Tool {
+public:
+  explicit FinishProbe(int &Finishes) : Finishes(Finishes) {}
+  std::string name() const override { return "finish_probe"; }
+  void onFinish() override { ++Finishes; }
+
+private:
+  int &Finishes;
+};
+
 } // namespace
 
 TEST(ProfilerLifecycleTest, StartAndFinishFireOnce) {
   auto Owned = std::make_unique<LifecycleTool>();
   LifecycleTool *Raw = Owned.get();
   {
-    Profiler Prof;
-    Prof.addTool(std::move(Owned));
+    std::unique_ptr<Session> S =
+        test::buildSession(SessionBuilder().addTool(std::move(Owned)));
     EXPECT_EQ(Raw->Starts, 1);
-    Prof.finish();
-    Prof.finish(); // idempotent
+    S->finish();
+    S->finish(); // idempotent
     EXPECT_EQ(Raw->Finishes, 1);
   }
 }
 
 TEST(ProfilerLifecycleTest, DestructorFinishes) {
+  // The session owns the tool, so observe onFinish through a counter
+  // that outlives it.
+  int Finishes = 0;
   {
-    Profiler Prof;
-    auto Owned = std::make_unique<LifecycleTool>();
-    Prof.addTool(std::move(Owned));
+    std::unique_ptr<Session> S = test::buildSession(
+        SessionBuilder().addTool(std::make_unique<FinishProbe>(Finishes)));
     // No explicit finish: the destructor must call it while the tool is
-    // still alive (profiler owns the tool).
+    // still alive.
   }
-  // Raw dangles now; the assertion happened implicitly — reaching here
-  // without UB under ASAN-less builds is weak, so also test via options.
-  SUCCEED();
-}
-
-TEST(ProfilerLifecycleTest, OptionsFromEnv) {
-  setEnvOverride("PASTA_BACKEND", "cs-cpu");
-  setEnvOverride("ACCEL_PROF_ENV_SAMPLE_RATE", "0.25");
-  setEnvOverride("PASTA_TRACE_GRANULARITY", "8192");
-  ProfilerOptions Opts = ProfilerOptions::fromEnv();
-  EXPECT_EQ(Opts.Trace.Backend, TraceBackend::SanitizerCpu);
-  EXPECT_DOUBLE_EQ(Opts.Trace.SampleRate, 0.25);
-  EXPECT_EQ(Opts.Trace.RecordGranularityBytes, 8192u);
-  clearAllEnvOverrides();
-}
-
-TEST(ProfilerLifecycleTest, UnknownBackendFallsBackToNone) {
-  setEnvOverride("PASTA_BACKEND", "quantum");
-  EXPECT_EQ(ProfilerOptions::fromEnv().Trace.Backend, TraceBackend::None);
-  clearAllEnvOverrides();
+  EXPECT_EQ(Finishes, 1);
 }
 
 TEST(ProfilerLifecycleTest, UnknownToolNameReturnsNull) {
-  Profiler Prof;
-  EXPECT_EQ(Prof.addToolByName("no_such_tool"), nullptr);
-  EXPECT_TRUE(Prof.tools().empty());
+  std::unique_ptr<Session> S = test::buildSession(SessionBuilder());
+  EXPECT_EQ(S->addToolByName("no_such_tool"), nullptr);
+  EXPECT_TRUE(S->tools().empty());
 }
 
 //===----------------------------------------------------------------------===//
-// Workload harness
+// Session workload runs
 //===----------------------------------------------------------------------===//
 
 TEST(WorkloadHarnessTest, NativeRunTimePositiveAndStable) {
-  tools::WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  SimTime A = tools::nativeRunTime(Config);
-  SimTime B = tools::nativeRunTime(Config);
+  auto NativeRunTime = [] {
+    return test::buildSession(
+               SessionBuilder().model("resnet18").iterations(1))
+        ->run()
+        .Stats.wallTime();
+  };
+  SimTime A = NativeRunTime();
+  SimTime B = NativeRunTime();
   EXPECT_GT(A, 0u);
   EXPECT_EQ(A, B);
 }
 
 TEST(WorkloadHarnessTest, AmdGpuSelectsHipPath) {
-  tools::registerBuiltinTools();
-  tools::WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  Config.Gpu = "MI300X";
-  Config.Backend = TraceBackend::SanitizerGpu;
-  Config.RecordGranularityBytes = 65536;
-  Profiler Prof;
-  Prof.addToolByName("working_set");
-  tools::WorkloadResult Result = tools::runWorkload(Config, Prof);
+  std::unique_ptr<Session> S =
+      test::buildSession(SessionBuilder()
+                             .tool("working_set")
+                             .backend("cs-gpu")
+                             .gpu("MI300X")
+                             .model("resnet18")
+                             .iterations(1)
+                             .recordGranularity(65536));
+  SessionResult Result = S->run();
   EXPECT_GT(Result.Stats.KernelsLaunched, 0u);
 }
 
 TEST(WorkloadHarnessTest, IterationOverrideRespected) {
-  tools::WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Iterations = 2;
-  Profiler P1;
-  std::uint64_t Two = tools::runWorkload(Config, P1).ProgramKernels;
-  Config.Iterations = 1;
-  Profiler P2;
-  std::uint64_t One = tools::runWorkload(Config, P2).ProgramKernels;
+  auto KernelsFor = [](int Iterations) {
+    return test::buildSession(
+               SessionBuilder().model("bert").iterations(Iterations))
+        ->run()
+        .ProgramKernels;
+  };
+  std::uint64_t Two = KernelsFor(2);
+  std::uint64_t One = KernelsFor(1);
   EXPECT_EQ(Two, 2 * One);
 }

@@ -4,15 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "pasta/Profiler.h"
 #include "support/Env.h"
+#include "tests/TestSession.h"
 #include "tools/ExtensionTools.h"
 #include "tools/HotnessTool.h"
 #include "tools/KernelFrequencyTool.h"
 #include "tools/MemUsageTimelineTool.h"
 #include "tools/RegisterTools.h"
 #include "tools/WorkingSetTool.h"
-#include "tools/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -26,13 +25,20 @@ protected:
   void SetUp() override { registerBuiltinTools(); }
   void TearDown() override { clearAllEnvOverrides(); }
 
-  WorkloadConfig traceConfig(const char *Model = "resnet18") {
-    WorkloadConfig Config;
-    Config.Model = Model;
-    Config.Iterations = 1;
-    Config.Backend = TraceBackend::SanitizerGpu;
-    Config.RecordGranularityBytes = 32768;
-    return Config;
+  /// One traced (cs-gpu) iteration of \p Model.
+  SessionBuilder traceBuilder(const char *Model = "resnet18") {
+    SessionBuilder Builder;
+    Builder.backend("cs-gpu").model(Model).iterations(1).recordGranularity(
+        32768);
+    return Builder;
+  }
+
+  /// Builds and runs \p Builder's session; the session is returned
+  /// finished, with its tools ready to inspect.
+  std::unique_ptr<Session> runSession(SessionBuilder &Builder) {
+    std::unique_ptr<Session> S = test::buildSession(Builder);
+    S->run();
+    return S;
   }
 };
 
@@ -97,13 +103,11 @@ TEST_F(ToolsTest, BuiltinToolsDeclareExpectedContracts) {
 }
 
 TEST_F(ToolsTest, KernelFrequencyCountsMatchProgram) {
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 2;
-  Profiler Prof;
-  auto *Freq = static_cast<KernelFrequencyTool *>(
-      Prof.addToolByName("kernel_frequency"));
-  WorkloadResult Result = runWorkload(Config, Prof);
+  std::unique_ptr<Session> S = test::buildSession(
+      SessionBuilder().tool("kernel_frequency").model("resnet18").iterations(
+          2));
+  SessionResult Result = S->run();
+  auto *Freq = S->toolAs<KernelFrequencyTool>("kernel_frequency");
   EXPECT_EQ(Freq->totalLaunches(), Result.ProgramKernels);
   // A handful of kernels dominates (the Fig. 7 claim): the top entry
   // must repeat far more often than the mean.
@@ -116,20 +120,16 @@ TEST_F(ToolsTest, KernelFrequencyCountsMatchProgram) {
 
 TEST_F(ToolsTest, KernelFrequencyHottestStackViaKnob) {
   setEnvOverride("MAX_CALLED_KERNEL", "1");
-  Profiler Prof;
-  auto *Freq = static_cast<KernelFrequencyTool *>(
-      Prof.addToolByName("kernel_frequency"));
-  runWorkload(traceConfig(), Prof);
+  std::unique_ptr<Session> S =
+      runSession(traceBuilder().tool("kernel_frequency"));
+  auto *Freq = S->toolAs<KernelFrequencyTool>("kernel_frequency");
   EXPECT_FALSE(Freq->hottestKernel().empty());
   EXPECT_FALSE(Freq->hottestKernelStack().Frames.empty());
 }
 
 TEST_F(ToolsTest, WorkingSetSmallerThanFootprint) {
-  Profiler Prof;
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  runWorkload(traceConfig(), Prof);
-  auto Summary = Ws->summary();
+  std::unique_ptr<Session> S = runSession(traceBuilder().tool("working_set"));
+  auto Summary = S->toolAs<WorkingSetTool>("working_set")->summary();
   EXPECT_GT(Summary.KernelCount, 0u);
   EXPECT_GT(Summary.WorkingSetBytes, 0u);
   EXPECT_LT(Summary.WorkingSetBytes, Summary.PeakFootprintBytes)
@@ -141,26 +141,22 @@ TEST_F(ToolsTest, WorkingSetSmallerThanFootprint) {
 TEST_F(ToolsTest, WorkingSetDeviceAndHostModesAgree) {
   // The GPU-resident reduction must produce the same analysis results as
   // the conventional host-side path — only the cost differs (Fig. 8).
-  auto RunMode = [&](TraceBackend Backend, const char *ToolName) {
-    Profiler Prof;
-    auto *Ws = static_cast<WorkingSetTool *>(Prof.addToolByName(ToolName));
-    WorkloadConfig Config = traceConfig();
-    Config.Backend = Backend;
-    runWorkload(Config, Prof);
-    return Ws->summary();
+  auto RunMode = [&](const char *Backend, const char *ToolName) {
+    std::unique_ptr<Session> S =
+        runSession(traceBuilder().tool(ToolName).backend(Backend));
+    // Both registry entries report under "working_set".
+    return S->toolAs<WorkingSetTool>("working_set")->summary();
   };
-  auto Gpu = RunMode(TraceBackend::SanitizerGpu, "working_set");
-  auto Host = RunMode(TraceBackend::SanitizerCpu, "working_set_host");
+  auto Gpu = RunMode("cs-gpu", "working_set");
+  auto Host = RunMode("cs-cpu", "working_set_host");
   EXPECT_EQ(Gpu.KernelCount, Host.KernelCount);
   EXPECT_EQ(Gpu.WorkingSetBytes, Host.WorkingSetBytes);
   EXPECT_DOUBLE_EQ(Gpu.MedianWsBytes, Host.MedianWsBytes);
 }
 
 TEST_F(ToolsTest, WorkingSetPerKernelSpansLiveWithinFootprint) {
-  Profiler Prof;
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  runWorkload(traceConfig(), Prof);
+  std::unique_ptr<Session> S = runSession(traceBuilder().tool("working_set"));
+  auto *Ws = S->toolAs<WorkingSetTool>("working_set");
   for (const auto &Kernel : Ws->kernels()) {
     std::uint64_t SpanSum = 0;
     for (const auto &[Base, Bytes] : Kernel.Spans)
@@ -171,21 +167,18 @@ TEST_F(ToolsTest, WorkingSetPerKernelSpansLiveWithinFootprint) {
 
 TEST_F(ToolsTest, WorkingSetMaxRefKnobCapturesStack) {
   setEnvOverride("MAX_MEM_REFERENCED_KERNEL", "1");
-  Profiler Prof;
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  runWorkload(traceConfig("bert"), Prof);
+  std::unique_ptr<Session> S =
+      runSession(traceBuilder("bert").tool("working_set"));
+  auto *Ws = S->toolAs<WorkingSetTool>("working_set");
   EXPECT_FALSE(Ws->maxReferencedKernel().empty());
   EXPECT_NE(Ws->maxReferencedStack().str().find("--- Python ---"),
             std::string::npos);
 }
 
 TEST_F(ToolsTest, HotnessSeparatesLongLivedFromBursty) {
-  Profiler Prof;
-  auto *Hot = static_cast<HotnessTool *>(Prof.addToolByName("hotness"));
-  WorkloadConfig Config = traceConfig("bert");
-  runWorkload(Config, Prof);
-  auto Profiles = Hot->profiles();
+  std::unique_ptr<Session> S =
+      runSession(traceBuilder("bert").tool("hotness"));
+  auto Profiles = S->toolAs<HotnessTool>("hotness")->profiles();
   ASSERT_GT(Profiles.size(), 10u);
   int LongLived = 0, Bursty = 0;
   for (const auto &Profile : Profiles)
@@ -197,9 +190,8 @@ TEST_F(ToolsTest, HotnessSeparatesLongLivedFromBursty) {
 }
 
 TEST_F(ToolsTest, HotnessHeatmapWindowsOrdered) {
-  Profiler Prof;
-  auto *Hot = static_cast<HotnessTool *>(Prof.addToolByName("hotness"));
-  runWorkload(traceConfig(), Prof);
+  std::unique_ptr<Session> S = runSession(traceBuilder().tool("hotness"));
+  auto *Hot = S->toolAs<HotnessTool>("hotness");
   EXPECT_GE(Hot->numWindows(), 2u);
   for (const auto &[Key, Count] : Hot->heatmap()) {
     EXPECT_LT(Key.second, Hot->numWindows());
@@ -210,14 +202,10 @@ TEST_F(ToolsTest, HotnessHeatmapWindowsOrdered) {
 }
 
 TEST_F(ToolsTest, TimelineTracksEveryTensorEvent) {
-  Profiler Prof;
-  auto *Timeline = static_cast<MemUsageTimelineTool *>(
-      Prof.addToolByName("mem_usage_timeline"));
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  WorkloadResult Result = runWorkload(Config, Prof);
-  (void)Result;
+  std::unique_ptr<Session> S = runSession(
+      SessionBuilder().tool("mem_usage_timeline").model("resnet18").iterations(
+          1));
+  auto *Timeline = S->toolAs<MemUsageTimelineTool>("mem_usage_timeline");
   const auto &Series = Timeline->series(0);
   ASSERT_FALSE(Series.empty());
   // Ramp-up/peak/ramp-down: the series must end near zero and peak in
@@ -227,27 +215,20 @@ TEST_F(ToolsTest, TimelineTracksEveryTensorEvent) {
 }
 
 TEST_F(ToolsTest, InstructionMixRequiresNvbit) {
-  auto Run = [&](TraceBackend Backend) {
-    Profiler Prof;
-    auto *Mix = static_cast<InstructionMixTool *>(
-        Prof.addToolByName("instruction_mix"));
-    WorkloadConfig Config = traceConfig();
-    Config.Backend = Backend;
-    runWorkload(Config, Prof);
-    return Mix->mixes().size();
+  auto Run = [&](const char *Backend) {
+    std::unique_ptr<Session> S =
+        runSession(traceBuilder().tool("instruction_mix").backend(Backend));
+    return S->toolAs<InstructionMixTool>("instruction_mix")->mixes().size();
   };
-  EXPECT_EQ(Run(TraceBackend::SanitizerGpu), 0u)
+  EXPECT_EQ(Run("cs-gpu"), 0u)
       << "sanitizer cannot see the full instruction stream";
-  EXPECT_GT(Run(TraceBackend::NvbitCpu), 0u);
+  EXPECT_GT(Run("nvbit-cpu"), 0u);
 }
 
 TEST_F(ToolsTest, InstructionMixFractionsSane) {
-  Profiler Prof;
-  auto *Mix = static_cast<InstructionMixTool *>(
-      Prof.addToolByName("instruction_mix"));
-  WorkloadConfig Config = traceConfig();
-  Config.Backend = TraceBackend::NvbitCpu;
-  runWorkload(Config, Prof);
+  std::unique_ptr<Session> S = runSession(
+      traceBuilder().tool("instruction_mix").backend("nvbit-cpu"));
+  auto *Mix = S->toolAs<InstructionMixTool>("instruction_mix");
   for (const auto &[Name, Entry] : Mix->mixes()) {
     EXPECT_GT(Entry.Launches, 0u);
     EXPECT_GE(Entry.memoryFraction(), 0.0);
@@ -256,22 +237,17 @@ TEST_F(ToolsTest, InstructionMixFractionsSane) {
 }
 
 TEST_F(ToolsTest, BarrierStallAttributesToLayers) {
-  Profiler Prof;
-  auto *Stall = static_cast<BarrierStallTool *>(
-      Prof.addToolByName("barrier_stall"));
-  WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Iterations = 1;
-  runWorkload(Config, Prof);
+  std::unique_ptr<Session> S = runSession(
+      SessionBuilder().tool("barrier_stall").model("bert").iterations(1));
+  auto *Stall = S->toolAs<BarrierStallTool>("barrier_stall");
   EXPECT_GT(Stall->totalStallNs(), 0u);
   EXPECT_GT(Stall->stallByLayer().size(), 5u);
 }
 
 TEST_F(ToolsTest, RedundantLoadDetectsGemmReuse) {
-  Profiler Prof;
-  auto *Redundant = static_cast<RedundantLoadTool *>(
-      Prof.addToolByName("redundant_load"));
-  runWorkload(traceConfig("bert"), Prof);
+  std::unique_ptr<Session> S =
+      runSession(traceBuilder("bert").tool("redundant_load"));
+  auto *Redundant = S->toolAs<RedundantLoadTool>("redundant_load");
   ASSERT_FALSE(Redundant->kernels().empty());
   // GEMMs re-read their tiles: at least one kernel must show substantial
   // redundancy, and fractions must stay in [0, 1].
@@ -284,47 +260,37 @@ TEST_F(ToolsTest, RedundantLoadDetectsGemmReuse) {
 }
 
 TEST_F(ToolsTest, PrefetcherCountsCalls) {
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  Config.Managed = true;
-  Config.Prefetch = PrefetchLevel::Tensor;
-  Profiler Prof;
-  // runWorkload installs the prefetcher internally; verify it had an
+  // Session::run installs the prefetcher internally; verify it had an
   // effect through the UVM counters.
-  WorkloadResult Result = runWorkload(Config, Prof);
+  SessionResult Result =
+      test::buildSession(SessionBuilder()
+                             .model("resnet18")
+                             .iterations(1)
+                             .managed()
+                             .prefetch(PrefetchLevel::Tensor))
+          ->run();
   EXPECT_GT(Result.Uvm.PrefetchedPages, 0u);
 }
 
 TEST_F(ToolsTest, PrefetchReducesFaults) {
   auto Faults = [&](PrefetchLevel Level) {
-    WorkloadConfig Config;
-    Config.Model = "resnet18";
-    Config.Iterations = 1;
-    Config.Managed = true;
-    Config.Prefetch = Level;
-    Profiler Prof;
-    return runWorkload(Config, Prof).Uvm.Faults;
+    return test::buildSession(SessionBuilder()
+                                  .model("resnet18")
+                                  .iterations(1)
+                                  .managed()
+                                  .prefetch(Level))
+        ->run()
+        .Uvm.Faults;
   };
   EXPECT_LT(Faults(PrefetchLevel::Tensor), Faults(PrefetchLevel::None));
 }
 
-TEST_F(ToolsTest, ProfilerEnvToolSelection) {
-  setEnvOverride("PASTA_TOOL", "kernel_frequency");
-  Profiler Prof;
-  Tool *T = Prof.addToolFromEnv();
-  ASSERT_NE(T, nullptr);
-  EXPECT_EQ(T->name(), "kernel_frequency");
-}
-
 TEST_F(ToolsTest, WriteReportsProduceOutput) {
-  Profiler Prof;
-  Prof.addToolByName("kernel_frequency");
-  Prof.addToolByName("working_set");
-  runWorkload(traceConfig(), Prof);
+  std::unique_ptr<Session> S = runSession(
+      traceBuilder().tool("kernel_frequency").tool("working_set"));
   std::FILE *Tmp = std::tmpfile();
   ASSERT_NE(Tmp, nullptr);
-  Prof.writeReports(Tmp);
+  S->writeReports(Tmp);
   EXPECT_GT(std::ftell(Tmp), 100L);
   std::fclose(Tmp);
 }

@@ -14,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "pasta/EventProcessor.h"
-#include "pasta/Profiler.h"
 #include "pasta/Session.h"
 #include "pasta/Validate.h"
 #include "support/ReportSink.h"
@@ -22,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -129,14 +127,14 @@ ProcessorOptions validatingAsync() {
 }
 
 //===----------------------------------------------------------------------===//
-// Plumbing: off by default, on via options/env/builder
+// Plumbing: off by default, on via options/builder
 //===----------------------------------------------------------------------===//
 
 TEST(Validate, DefaultTracksBuildKnob) {
   // Off in a stock build; a -DPASTA_VALIDATE=ON build flips the
   // default everywhere, and every knob layer must agree with it.
   EXPECT_EQ(ProcessorOptions().Validate, validateDefault());
-  EXPECT_EQ(SessionOptions().Validate, validateDefault());
+  EXPECT_EQ(SessionOptions().Processor.Validate, validateDefault());
   EventProcessor P(static_cast<std::size_t>(2));
   EXPECT_EQ(P.validator() != nullptr, validateDefault());
 }
@@ -146,14 +144,6 @@ TEST(Validate, EnabledByOptions) {
   Opts.Validate = true;
   EventProcessor P(Opts);
   EXPECT_NE(P.validator(), nullptr);
-}
-
-TEST(Validate, EnvKnobFlowsThroughFromEnv) {
-  ::setenv("PASTA_VALIDATE", "1", 1);
-  EXPECT_TRUE(ProfilerOptions::fromEnv().Processor.Validate);
-  ::setenv("PASTA_VALIDATE", "0", 1);
-  EXPECT_FALSE(ProfilerOptions::fromEnv().Processor.Validate);
-  ::unsetenv("PASTA_VALIDATE");
 }
 
 TEST(Validate, SessionBuilderKnobReachesProcessor) {
