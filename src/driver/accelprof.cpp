@@ -27,9 +27,8 @@
 //       accelprof -t kernel_frequency --capture run.trace bert
 //       accelprof -t working_set -b replay --trace run.trace
 //       accelprof --serve /tmp/pasta.sock --report-dir reports &
-//       accelprof -t kernel_frequency --connect /tmp/pasta.sock \
+//       accelprof -t kernel_frequency --connect /tmp/pasta.sock
 //                 --tenant team-a bert
-//       accelprof -t kernel_frequency --async --lanes-auto --max-lanes 8 bert
 //       accelprof --control /tmp/pasta.sock attach-tool team-a working_set
 //
 // <model> is a Table IV zoo entry (alexnet, resnet18, resnet34, gpt2,
@@ -71,7 +70,6 @@ int usage(const char *Argv0) {
       "          [--async] [--queue-depth N]\n"
       "          [--overflow block|drop|sample[:N]]\n"
       "          [--dispatch-threads N] [--arena-shards N]\n"
-      "          [--lanes-auto] [--min-lanes N] [--max-lanes N]\n"
       "          [--arena-max-bytes BYTES] [--validate]\n"
       "          [--capture FILE] [--connect SOCKET [--tenant NAME]]\n"
       "          [--connect-timeout S] [--connect-retries N]\n"
@@ -423,32 +421,6 @@ int main(int Argc, char **Argv) {
       // The arena only runs on the async admission path; imply --async
       // like the other queue knobs.
       Builder.arenaShards(static_cast<std::size_t>(Shards));
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--lanes-auto") {
-      // Lane auto-scaling only means something on the async dispatch
-      // unit; imply --async like the other lane knobs.
-      Builder.lanesAuto();
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--min-lanes") {
-      long long Lanes = std::atoll(NextValue("--min-lanes"));
-      if (Lanes <= 0 || Lanes > 64) {
-        std::fprintf(stderr, "error: --min-lanes must be in [1, 64]\n");
-        return 2;
-      }
-      Builder.minLanes(static_cast<std::size_t>(Lanes));
-      Builder.lanesAuto();
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--max-lanes") {
-      long long Lanes = std::atoll(NextValue("--max-lanes"));
-      if (Lanes <= 0 || Lanes > 64) {
-        std::fprintf(stderr, "error: --max-lanes must be in [1, 64]\n");
-        return 2;
-      }
-      Builder.maxLanes(static_cast<std::size_t>(Lanes));
-      Builder.lanesAuto();
       Builder.asyncEvents();
       Async = true;
     } else if (Arg == "--arena-max-bytes") {

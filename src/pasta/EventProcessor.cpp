@@ -24,7 +24,6 @@
 #include "support/ReportSink.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <utility>
 
@@ -143,56 +142,27 @@ EventProcessor::EventProcessor(const ProcessorOptions &Opts)
     Val = std::make_unique<Validator>();
     Arena.setValidator(Val.get());
   }
-  std::size_t Requested = std::min<std::size_t>(
+  std::size_t LaneCount = std::min<std::size_t>(
       std::max<std::size_t>(Opts.DispatchThreads, 1), 64);
-  std::size_t Active = Requested;
-  std::size_t Constructed = Requested;
-  if (Opts.AsyncEvents && Opts.LanesAuto) {
-    MinLanesEff =
-        Opts.MinLanes ? std::min<std::size_t>(Opts.MinLanes, 64) : 1;
-    MaxLanesEff = Opts.MaxLanes
-                      ? std::min<std::size_t>(Opts.MaxLanes, 64)
-                      : std::min<std::size_t>(
-                            std::max<std::size_t>(Requested, 4), 64);
-    if (MaxLanesEff < MinLanesEff)
-      MaxLanesEff = MinLanesEff;
-    Constructed = MaxLanesEff;
-    Active = std::min(std::max(Requested, MinLanesEff), MaxLanesEff);
-    ControllerIntervalMs =
-        std::max<std::size_t>(Opts.LanesAutoIntervalMs, 1);
-  } else {
-    MinLanesEff = MaxLanesEff = Requested;
-  }
   if (Opts.AsyncEvents) {
-    // The lane vector is sized once, to the scaling ceiling: inactive
-    // lanes park cheaply on their empty rings, and a fixed vector means
-    // stats()/laneStats()/callStacks() never race a reallocation.
-    for (std::size_t I = 0; I < Constructed; ++I) {
+    // The lane vector is sized once: a fixed vector means
+    // stats()/laneStats()/callStacks() never race a reallocation, and
+    // setLaneCount() only moves the active subset.
+    for (std::size_t I = 0; I < LaneCount; ++I) {
       auto L = std::make_unique<Lane>();
       L->Queue = std::make_unique<EventQueue>(
           std::max<std::size_t>(Opts.QueueDepth, 1), Opts.Overflow,
-          std::max<std::uint64_t>(Opts.SampleEveryN, 1),
-          Opts.QueueSpinIterations);
+          std::max<std::uint64_t>(Opts.SampleEveryN, 1));
       Lanes.push_back(std::move(L));
     }
   }
-  Tables.push_back(buildTable(Active));
+  Tables.push_back(buildTable(LaneCount));
   Epoch.publish(Tables.back().get());
   for (std::size_t I = 0; I < Lanes.size(); ++I)
     Lanes[I]->Thread = std::thread([this, I] { laneLoop(I); });
-  if (Opts.AsyncEvents && Opts.LanesAuto)
-    Controller = std::thread([this] { controllerLoop(); });
 }
 
 EventProcessor::~EventProcessor() {
-  if (Controller.joinable()) {
-    {
-      std::lock_guard<std::mutex> Lock(ControllerMutex);
-      ControllerStop = true;
-    }
-    ControllerCv.notify_all();
-    Controller.join();
-  }
   for (auto &L : Lanes)
     L->Queue->close();
   for (auto &L : Lanes)
@@ -626,48 +596,6 @@ void EventProcessor::laneLoop(std::size_t LaneIndex) {
   }
 }
 
-void EventProcessor::controllerLoop() {
-  std::uint64_t LastParks = 0;
-  std::uint64_t LastEnqueued = 0;
-  int IdleTicks = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> Lock(ControllerMutex);
-      ControllerCv.wait_for(
-          Lock, std::chrono::milliseconds(ControllerIntervalMs),
-          [this] { return ControllerStop; });
-      if (ControllerStop)
-        return;
-    }
-    std::uint64_t Parks = 0;
-    std::uint64_t Enqueued = 0;
-    for (const auto &L : Lanes) {
-      EventQueueCounters Counters = L->Queue->counters();
-      Parks += Counters.Parks;
-      Enqueued += Counters.Enqueued;
-    }
-    std::size_t Active = laneCount();
-    if (Parks > LastParks && Active < MaxLanesEff) {
-      // Producers parked on a full ring since the last tick: real
-      // back-pressure, add a lane.
-      if (setLaneCount(Active + 1))
-        Core.LaneScaleUps.fetch_add(1, std::memory_order_relaxed);
-      IdleTicks = 0;
-    } else if (Enqueued == LastEnqueued && Active > MinLanesEff) {
-      // No admissions at all for several ticks: give a lane back.
-      if (++IdleTicks >= 3) {
-        if (setLaneCount(Active - 1))
-          Core.LaneScaleDowns.fetch_add(1, std::memory_order_relaxed);
-        IdleTicks = 0;
-      }
-    } else {
-      IdleTicks = 0;
-    }
-    LastParks = Parks;
-    LastEnqueued = Enqueued;
-  }
-}
-
 void EventProcessor::flush() {
   // A dispatch-lane thread waiting for its own queue to drain is a
   // deadlock (the tool hook that called us is the work being waited
@@ -728,10 +656,6 @@ ProcessorStats EventProcessor::stats() const {
   Snapshot.FlushCount = Core.FlushCount.load(std::memory_order_relaxed);
   Snapshot.Reconfigurations =
       Core.Reconfigurations.load(std::memory_order_relaxed);
-  Snapshot.LaneScaleUps =
-      Core.LaneScaleUps.load(std::memory_order_relaxed);
-  Snapshot.LaneScaleDowns =
-      Core.LaneScaleDowns.load(std::memory_order_relaxed);
   Snapshot.DispatchLanes = laneCount();
   EventArenaStats ArenaSnapshot = Arena.stats();
   Snapshot.ArenaPayloads = ArenaSnapshot.payloads();
@@ -792,10 +716,6 @@ void EventProcessor::reportPipeline(ReportSink &Sink) const {
     // spin window was not enough and a producer actually blocked.
     Sink.metric("queue.spins", Snapshot.QueueSpins);
     Sink.metric("queue.parks", Snapshot.QueueParks);
-    if (Snapshot.LaneScaleUps + Snapshot.LaneScaleDowns > 0) {
-      Sink.metric("lane_scale_ups", Snapshot.LaneScaleUps);
-      Sink.metric("lane_scale_downs", Snapshot.LaneScaleDowns);
-    }
     // The shared payload arena only runs in async mode; its hit count
     // is the number of payload allocations (and their per-lane copies)
     // the interning avoided.

@@ -84,15 +84,6 @@
 /// diagnostic instead of self-deadlocking (the same contract flush()
 /// enforces for lane threads).
 ///
-/// Lane auto-scaling: with ProcessorOptions::LanesAuto, the lane vector
-/// is preallocated to MaxLanes (threads park cheaply on their empty
-/// rings) and a controller thread samples the queues' park/enqueue
-/// counters every LanesAutoIntervalMs, growing the active lane set when
-/// producers park on a full ring and shrinking it after idle intervals,
-/// always within [MinLanes, MaxLanes] and always through the same epoch
-/// swap — so Serial digests stay byte-identical at any active lane
-/// count.
-///
 /// The GPU-resident collect-and-analyze model (paper Fig. 2b) is realized
 /// by a host thread pool standing in for device analysis warps: tools
 /// returning a DeviceAnalysis get their records reduced concurrently, for
@@ -166,10 +157,6 @@ struct ProcessorStats {
   /// Routing-table swaps published so far (tool attach/detach/clear and
   /// lane-count changes all count; the initial empty table does not).
   std::uint64_t Reconfigurations = 0;
-  /// Auto-scaler grow decisions (LanesAuto).
-  std::uint64_t LaneScaleUps = 0;
-  /// Auto-scaler shrink decisions (LanesAuto).
-  std::uint64_t LaneScaleDowns = 0;
   /// Async pipeline: enqueues that found a lane's ring full and spun
   /// for space (summed over lanes).
   std::uint64_t QueueSpins = 0;
@@ -221,13 +208,9 @@ struct ProcessorOptions {
   std::uint64_t SampleEveryN = 8;
   /// Dispatch lanes when AsyncEvents is on (clamped to [1, 64]). Serial
   /// tools are pinned round-robin; ShardByDevice/Concurrent tools run on
-  /// each event's home lane. With LanesAuto this is the *initial* active
-  /// lane count (clamped into [MinLanes, MaxLanes]).
+  /// each event's home lane. The lane vector is this long for the
+  /// processor's lifetime; setLaneCount() moves only the active subset.
   std::size_t DispatchThreads = 1;
-  /// Iterations a full-ring producer (or empty-ring lane consumer)
-  /// spins before parking; 0 parks immediately — the default on
-  /// single-core hosts.
-  std::size_t QueueSpinIterations = defaultQueueSpinIterations();
   /// Content-hash shards for the payload arena's intern tables (0 =
   /// hardware-concurrency-derived default).
   std::size_t ArenaShards = 0;
@@ -237,18 +220,6 @@ struct ProcessorOptions {
   /// Resident arena payload byte cap, 0 = unlimited; past it, new
   /// payloads are per-event pins.
   std::uint64_t ArenaMaxBytes = 0;
-  /// Lane auto-scaling (--lanes-auto): a controller thread grows the
-  /// active lane set when producers park on full rings and shrinks it
-  /// across idle intervals, within [MinLanes, MaxLanes]. Only meaningful
-  /// with AsyncEvents.
-  bool LanesAuto = false;
-  /// Auto-scaling floor (0 = 1).
-  std::size_t MinLanes = 0;
-  /// Auto-scaling ceiling (0 = max(DispatchThreads, 4), clamped to 64).
-  /// The lane vector is preallocated to this size.
-  std::size_t MaxLanes = 0;
-  /// Controller sampling interval in milliseconds.
-  std::size_t LanesAutoIntervalMs = 20;
   /// Runtime contract validation (see pasta/Validate.h): Serial
   /// overlap/lane-affinity watchdogs, subscription-mask and -drift
   /// checks, arena payload canaries, flush-barrier assertions. Off by
@@ -284,8 +255,8 @@ struct KindRoute {
 struct RoutingTable {
   /// Publication sequence number (0 = the initial empty table).
   std::uint64_t Epoch = 0;
-  /// Lanes this table routes to (<= the constructed lane vector; the
-  /// auto-scaler moves this between MinLanes and MaxLanes).
+  /// Lanes this table routes to (<= the constructed lane vector;
+  /// setLaneCount() moves this).
   std::size_t ActiveLanes = 1;
   std::vector<ToolRouteEntry> Entries;
   std::array<KindRoute, NumEventKinds> Routes;
@@ -357,9 +328,7 @@ public:
   /// Repins the active lane set to \p Count at an epoch boundary;
   /// Serial tools migrate to their new round-robin home as part of the
   /// swap. False in synchronous mode and when \p Count is outside
-  /// [1, constructed lanes]. Same dispatch-context rule as addTool. The
-  /// auto-scaler calls this; it is public so tests and embedders can
-  /// drive scaling directly.
+  /// [1, constructed lanes]. Same dispatch-context rule as addTool.
   bool setLaneCount(std::size_t Count);
 
   RangeFilter &rangeFilter() { return Filter; }
@@ -376,12 +345,12 @@ public:
   /// atomically), but only quiescent pipelines (after flush()/finish,
   /// or in synchronous mode) yield a mutually consistent snapshot.
   ProcessorStats stats() const;
-  /// Per-constructed-lane snapshots (empty in synchronous mode; with
-  /// LanesAuto, includes currently inactive lanes).
+  /// Per-constructed-lane snapshots (empty in synchronous mode;
+  /// includes lanes setLaneCount() made inactive).
   std::vector<DispatchLaneStats> laneStats() const;
   bool asyncEvents() const { return !Lanes.empty(); }
-  /// Active dispatch lanes (0 in synchronous mode). With LanesAuto this
-  /// moves at epoch boundaries; without, it equals DispatchThreads.
+  /// Active dispatch lanes (0 in synchronous mode): DispatchThreads
+  /// until setLaneCount() moves it at an epoch boundary.
   std::size_t laneCount() const;
   /// The runtime contract validator, or null when validation is off
   /// (ProcessorOptions::Validate). Tests install collecting handlers
@@ -434,9 +403,9 @@ private:
 
   /// One dispatch lane: bounded queue, draining thread, lane-local
   /// stack context and counters. The lane vector is sized once at
-  /// construction (to MaxLanes under LanesAuto) and never reallocated —
-  /// scaling moves RoutingTable::ActiveLanes, not this vector — so
-  /// stats()/laneStats()/callStacks() never race a vector resize.
+  /// construction (to DispatchThreads) and never reallocated —
+  /// setLaneCount() moves RoutingTable::ActiveLanes, not this vector —
+  /// so stats()/laneStats()/callStacks() never race a vector resize.
   struct Lane {
     std::unique_ptr<EventQueue> Queue;
     std::thread Thread;
@@ -501,10 +470,6 @@ private:
   /// Lane thread main: drains the lane's queue until close().
   void laneLoop(std::size_t LaneIndex);
 
-  /// Auto-scaler main: samples queue pressure every interval and moves
-  /// the active lane count through setLaneCount().
-  void controllerLoop();
-
   /// Attached tools in attach order (mutated under AttachMutex; the
   /// compiled per-epoch view lives in the routing tables).
   std::vector<Tool *> Tools;
@@ -536,8 +501,6 @@ private:
     std::atomic<std::uint64_t> HostAnalyzedRecords{0};
     std::atomic<std::uint64_t> FlushCount{0};
     std::atomic<std::uint64_t> Reconfigurations{0};
-    std::atomic<std::uint64_t> LaneScaleUps{0};
-    std::atomic<std::uint64_t> LaneScaleDowns{0};
   } Core;
   std::vector<std::unique_ptr<Lane>> Lanes;
 
@@ -550,18 +513,9 @@ private:
   std::mutex ReconfigMutex;
   std::condition_variable ReconfigCv;
 
-  /// Serializes reconfigurations (tool-set mutation, lane scaling)
+  /// Serializes reconfigurations (tool-set mutation, lane counts)
   /// against each other; never taken on the steady-state event path.
   std::mutex AttachMutex;
-
-  /// Auto-scaler state (LanesAuto only).
-  std::size_t MinLanesEff = 1;
-  std::size_t MaxLanesEff = 1;
-  std::size_t ControllerIntervalMs = 20;
-  std::thread Controller;
-  std::mutex ControllerMutex;
-  std::condition_variable ControllerCv;
-  bool ControllerStop = false;
 
   /// Runtime contract checks (null when ProcessorOptions::Validate is
   /// off — the entire validation plane then costs one null test per

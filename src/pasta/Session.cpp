@@ -320,19 +320,6 @@ std::unique_ptr<Session> SessionBuilder::build(SessionError &Err) {
     Err.assign("arena shard count must be in [1, 64] (0 = auto)");
     return nullptr;
   }
-  if (Proc.MaxLanes > 64) {
-    Err.assign("max lane count must be in [1, 64] (0 = auto)");
-    return nullptr;
-  }
-  if (Proc.MinLanes > 64) {
-    Err.assign("min lane count must be in [1, 64] (0 = auto)");
-    return nullptr;
-  }
-  if (Proc.MinLanes != 0 && Proc.MaxLanes != 0 &&
-      Proc.MinLanes > Proc.MaxLanes) {
-    Err.assign("min lane count must not exceed max lane count");
-    return nullptr;
-  }
   if (Opts.ReplaySpeed < 0.0) {
     Err.assign("replay speed must be >= 0 (0 = full speed)");
     return nullptr;

@@ -87,7 +87,7 @@ struct SessionOptions {
   std::uint64_t DeviceBufferRecords = 1u << 20;
   /// Dispatch-unit configuration: analysis-thread width, async event
   /// pipeline, queue depth and overflow policy, dispatch lanes, payload
-  /// arena, lane auto-scaling and runtime contract validation.
+  /// arena and runtime contract validation.
   ProcessorOptions Processor;
   /// Non-empty: capture the admitted event stream into this binary trace
   /// file (a trace_capture tool is attached automatically; see
@@ -364,25 +364,6 @@ public:
   /// arena.evicted_fallbacks.
   SessionBuilder &arenaMaxBytes(std::uint64_t Bytes) {
     Opts.Processor.ArenaMaxBytes = Bytes;
-    return *this;
-  }
-  /// Lets the pipeline grow/shrink its dispatch-lane set from observed
-  /// queue back-pressure, within [minLanes, maxLanes]. Serial tools
-  /// migrate between lanes only at epoch boundaries, so their reports
-  /// stay byte-identical at any lane count. Implies nothing about
-  /// asyncEvents — auto-scaling without the async pipeline is inert.
-  SessionBuilder &lanesAuto(bool Enabled = true) {
-    Opts.Processor.LanesAuto = Enabled;
-    return *this;
-  }
-  /// Auto-scaling floor (0 = 1 lane).
-  SessionBuilder &minLanes(std::size_t Count) {
-    Opts.Processor.MinLanes = Count;
-    return *this;
-  }
-  /// Auto-scaling ceiling (0 = max(dispatchThreads, 4), capped at 64).
-  SessionBuilder &maxLanes(std::size_t Count) {
-    Opts.Processor.MaxLanes = Count;
     return *this;
   }
   /// Turns on the runtime contract validator (docs/VALIDATION.md): the

@@ -130,10 +130,6 @@ CapabilitySet Tool::requirements() {
   return Required;
 }
 
-CapabilitySet Tool::legacyProbeRequirements() {
-  return CapabilitySet(Capability::CoarseEvents) | probeFineGrained();
-}
-
 std::string Tool::renderTextReport() {
   char *Buffer = nullptr;
   std::size_t Size = 0;

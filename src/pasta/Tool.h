@@ -180,12 +180,6 @@ public:
   /// negotiated set must differ from the declared subscription.
   virtual CapabilitySet requirements();
 
-  /// The pre-subscription probe: derives requirements from which
-  /// fine-grained hooks are overridden, exactly as the old default
-  /// requirements() did. Kept public so tests can assert a declared
-  /// subscription negotiates the same capabilities the probe would have.
-  CapabilitySet legacyProbeRequirements();
-
   /// Lifecycle: called when the profiler activates / deactivates the tool.
   virtual void onStart() {}
   virtual void onFinish() {}
@@ -263,8 +257,7 @@ protected:
 private:
   /// Probes onAccessBatch/onInstrMix with empty payloads and returns the
   /// capabilities whose hooks a subclass replaced (or AccessRecords when
-  /// deviceAnalysis() is non-null). Feeds the default subscription() and
-  /// legacyProbeRequirements().
+  /// deviceAnalysis() is non-null). Feeds the default subscription().
   CapabilitySet probeFineGrained();
 
   /// Where the base-class fine-grained hook defaults record that they —

@@ -100,7 +100,7 @@ struct ValidatorStats {
   /// Serial tools whose pinned lane legitimately changed across an
   /// epoch swap (beginReconfiguration/endReconfiguration bracket). Not
   /// violations: migrations at an epoch boundary are the sanctioned way
-  /// lane auto-scaling rebalances Serial tools.
+  /// lane-count changes rebalance Serial tools.
   std::uint64_t SanctionedMigrations = 0;
 };
 

@@ -4,9 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Epoch-swapped routing tables and lane auto-scaling: tools attach and
-// detach on a *running* pipeline by publishing a new immutable routing
-// table behind a flush barrier. The tests pin down the contract:
+// Epoch-swapped routing tables: tools attach and detach, and the active
+// lane count moves, on a *running* pipeline by publishing a new immutable
+// routing table behind a flush barrier. The tests pin down the contract:
 //
 //  * a Serial tool present across any number of reconfigurations sees
 //    exactly the events a never-reconfigured pipeline would deliver, in
@@ -16,8 +16,8 @@
 //  * random reconfiguration schedules never drop or duplicate events;
 //  * detach racing flush and concurrent producers is safe (this suite
 //    runs under TSan in CI);
-//  * the auto-scaler grows the active lane set under queue back-pressure
-//    and shrinks it across idle intervals, inside [MinLanes, MaxLanes];
+//  * setLaneCount() grows and shrinks the active lane set within the
+//    constructed lanes and rejects counts outside them;
 //  * the Sample policy's per-producer memo restarts its 1/N cadence for
 //    every fresh queue, even when one thread creates and destroys many
 //    queues whose ids collide in the thread-local memo;
@@ -38,7 +38,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <random>
 #include <string>
@@ -75,22 +74,6 @@ public:
     Seen.fetch_add(1, std::memory_order_relaxed);
   }
   std::atomic<std::uint64_t> Seen{0};
-};
-
-/// Sleeps per event so a small ring backs up and producers park — the
-/// signal the auto-scaler grows on.
-class SlowTool : public Tool {
-public:
-  std::string name() const override { return "slow"; }
-  Subscription subscription() override {
-    Subscription Sub;
-    Sub.Kinds = EventKindMask::all();
-    Sub.Model = ExecutionModel::Concurrent;
-    return Sub;
-  }
-  void onEvent(const Event &) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
 };
 
 /// Calls back into its own processor from the dispatch hook; every
@@ -279,97 +262,6 @@ TEST(Reconfig, SerialOrderSurvivesExplicitLaneResizes) {
   EXPECT_FALSE(Processor.setLaneCount(5));
   EventProcessor Sync(2);
   EXPECT_FALSE(Sync.setLaneCount(1));
-}
-
-//===----------------------------------------------------------------------===//
-// Auto-scaling
-//===----------------------------------------------------------------------===//
-
-TEST(Reconfig, AutoScalerGrowsUnderBackpressureAndShrinksWhenIdle) {
-  ProcessorOptions Opts = asyncOptions(/*Depth=*/4, /*Threads=*/1);
-  Opts.LanesAuto = true;
-  Opts.MinLanes = 1;
-  Opts.MaxLanes = 4;
-  Opts.LanesAutoIntervalMs = 2;
-  Opts.QueueSpinIterations = 0; // park immediately: the grow signal
-  EventProcessor Processor(Opts);
-  SlowTool Slow;
-  CollectTool Serial;
-  ASSERT_TRUE(Processor.addTool(&Slow));
-  ASSERT_TRUE(Processor.addTool(&Serial));
-  ASSERT_EQ(Processor.laneCount(), 1u);
-
-  // Two bursty producers against a depth-4 ring with a 50us/event tool:
-  // producers park, the controller grows the active set.
-  std::atomic<bool> Stop{false};
-  std::vector<std::thread> Producers;
-  for (std::uint64_t P = 0; P < 2; ++P)
-    Producers.emplace_back([&Processor, &Stop, P] {
-      for (std::uint64_t Seq = 0; !Stop.load(); ++Seq)
-        Processor.process(allocEvent((P << 32) | Seq));
-    });
-
-  auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (Processor.stats().LaneScaleUps == 0 &&
-         std::chrono::steady_clock::now() < Deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  Stop.store(true);
-  for (std::thread &T : Producers)
-    T.join();
-  EXPECT_GE(Processor.stats().LaneScaleUps, 1u);
-  EXPECT_GT(Processor.laneCount(), 1u);
-  EXPECT_LE(Processor.laneCount(), 4u);
-
-  // Idle now: enqueues stopped, so consecutive idle ticks shrink the
-  // set back toward MinLanes.
-  Processor.flush();
-  Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (Processor.stats().LaneScaleDowns == 0 &&
-         std::chrono::steady_clock::now() < Deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_GE(Processor.stats().LaneScaleDowns, 1u);
-  EXPECT_LT(Processor.laneCount(), 4u);
-
-  // Nothing was lost while the lane set moved (Block policy + critical
-  // admission class).
-  Processor.flush();
-  ProcessorStats Stats = Processor.stats();
-  EXPECT_EQ(Stats.EventsDropped, 0u);
-  std::uint64_t Produced = 0;
-  for (const DispatchLaneStats &Lane : Processor.laneStats())
-    Produced += Lane.Enqueued;
-  EXPECT_EQ(Serial.Addresses.size(), Produced);
-}
-
-TEST(Reconfig, AutoScaleSessionKeepsSerialReportsByteIdentical) {
-  // End to end through the Session layer: an auto-scaling session's
-  // Serial tool reports are byte-identical to a fixed single-lane run.
-  tools::registerBuiltinTools();
-  auto RunWorkload = [](bool Auto) {
-    SessionError Err;
-    SessionBuilder Builder;
-    Builder.tool("kernel_frequency")
-        .tool("working_set")
-        .backend("cs-gpu")
-        .gpu("A100")
-        .model("alexnet")
-        .iterations(1)
-        .recordGranularity(1u << 20)
-        .asyncEvents()
-        .queueDepth(64);
-    if (Auto)
-      Builder.lanesAuto().minLanes(1).maxLanes(4);
-    std::unique_ptr<Session> S = Builder.build(Err);
-    EXPECT_NE(S, nullptr) << Err.message();
-    if (!S)
-      return std::string("<build failed>");
-    S->run();
-    JsonReportSink Sink;
-    S->writeReports(Sink);
-    return Sink.str();
-  };
-  EXPECT_EQ(RunWorkload(false), RunWorkload(true));
 }
 
 //===----------------------------------------------------------------------===//

@@ -1095,6 +1095,12 @@ TEST(AggregatorTest, SetLanesControlVerb) {
                                  Response, Err))
       << Err.message();
   EXPECT_NE(Response.find("2 lanes"), std::string::npos) << Response;
+  // Growing back to the 4 lanes the tenant was constructed with works
+  // too: no other runtime path grows the active lane set.
+  ASSERT_TRUE(sendControlCommand(Opts.SocketPath, "set-lanes pool 4",
+                                 Response, Err))
+      << Err.message();
+  EXPECT_NE(Response.find("4 lanes"), std::string::npos) << Response;
 
   // Out-of-range counts answer with a status line, not a disconnect.
   SessionError RangeErr;

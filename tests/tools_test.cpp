@@ -56,21 +56,6 @@ TEST_F(ToolsTest, RegistryHasAllBuiltins) {
   }
 }
 
-TEST_F(ToolsTest, DeclaredSubscriptionsNegotiateSameAsLegacyProbe) {
-  // Every registered tool now declares its subscription explicitly; the
-  // capability set derived from that declaration must equal what the
-  // legacy override-probing requirements() default would have
-  // negotiated, so sessions enable exactly the same instrumentation.
-  for (const std::string &Name :
-       ToolRegistry::instance().registeredNames()) {
-    std::unique_ptr<Tool> T = ToolRegistry::instance().create(Name);
-    ASSERT_NE(T, nullptr) << Name;
-    EXPECT_EQ(T->requirements().str(),
-              T->legacyProbeRequirements().str())
-        << Name;
-  }
-}
-
 TEST_F(ToolsTest, BuiltinToolsDeclareExpectedContracts) {
   struct Expectation {
     const char *Name;
