@@ -14,11 +14,11 @@
 // full admission pipeline (build event -> intern payloads -> enqueue;
 // one consumer drains batches), twice per cell:
 //
-//  * "mutex baseline" — an in-bench replica of the PR 4 EventQueue
-//    (mutex + condvars, notify_all per batch) feeding an EventArena
-//    configured to the PR 4 shape (1 shard, memo off);
-//  * "ring+shards" — the production EventQueue and an EventArena with
-//    the default shard count and the memo on.
+//  * "mutex baseline" — in-bench replicas of the PR 4 EventQueue
+//    (mutex + condvars, notify_all per batch) and the PR 4 arena (one
+//    mutex over content-keyed tables, no memo);
+//  * "ring+shards" — the production EventQueue and EventArena (default
+//    shard count, thread-local memo).
 //
 // Repetition classes model real workloads: "hot" repeats a small
 // payload set every event (a training step re-issuing the same op
@@ -31,9 +31,8 @@
 //    >= 2x the mutex baseline (enforced for full-size runs; --events
 //    below 5000 — the CI smoke — still prints the ratio);
 //  * a Serial digest tool folding payload bytes must produce
-//    byte-identical digests under sync, 1-lane and 4-lane dispatch,
-//    for arena shard counts 1 and default, memo on and off (Block
-//    policy, single producer).
+//    byte-identical digests under sync, 1-lane and 4-lane dispatch
+//    (Block policy, single producer).
 //
 // --json <path> additionally writes the table + counters as JSON
 // (consumed by scripts/run_benches.py into BENCH_pr5.json);
@@ -55,6 +54,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 using namespace pasta;
@@ -116,6 +116,33 @@ private:
   std::condition_variable NotFull;
   std::vector<Event> Buffer;
   bool Closed = false;
+};
+
+/// The PR 4 payload arena: one global mutex over content-keyed string
+/// and stack tables, no shards and no thread-local memo, so every
+/// string-bearing event serializes its producer on the one lock. The
+/// bench's events carry only OpName and PythonStack, so no kernel
+/// table is needed.
+class MutexArena {
+public:
+  void intern(Event &E) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (!E.OpName.empty())
+      E.OpName = *Strings.insert(E.OpName).first;
+    if (!E.PythonStack.empty())
+      E.PythonStack = *Stacks.insert(E.PythonStack).first;
+  }
+
+private:
+  struct ByContent {
+    template <typename PayloadT>
+    std::size_t operator()(const PayloadT &P) const {
+      return static_cast<std::size_t>(P.contentHash());
+    }
+  };
+  std::mutex Mutex;
+  std::unordered_set<PayloadString, ByContent> Strings;
+  std::unordered_set<PayloadStack, ByContent> Stacks;
 };
 
 //===----------------------------------------------------------------------===//
@@ -216,19 +243,15 @@ struct AdmissionResult {
 };
 
 /// P producers intern + enqueue; one consumer drains. \p UseRing picks
-/// the production path (ring + default shards + memo) or the mutex
-/// baseline (mutex queue + 1-shard memo-less arena).
+/// the production path (ring + EventArena) or the mutex baseline
+/// (MutexQueue + MutexArena).
 AdmissionResult runAdmission(const PayloadPool &Pool,
                              const RepetitionClass &Class,
                              std::size_t Producers,
                              std::size_t EventsPerProducer, bool UseRing) {
   AdmissionResult Result;
-  EventArenaOptions ArenaOpts;
-  if (!UseRing) {
-    ArenaOpts.Shards = 1;
-    ArenaOpts.InternMemo = false;
-  }
-  EventArena Arena(ArenaOpts);
+  EventArena Arena;
+  MutexArena LegacyArena;
 
   std::unique_ptr<EventQueue> Ring;
   std::unique_ptr<MutexQueue> Legacy;
@@ -265,11 +288,13 @@ AdmissionResult runAdmission(const PayloadPool &Pool,
         Event E = Premade;
         // The admission path under test: intern on the producer's
         // thread, then enqueue.
-        Arena.intern(E);
-        if (UseRing)
+        if (UseRing) {
+          Arena.intern(E);
           Ring->enqueue(std::move(E));
-        else
+        } else {
+          LegacyArena.intern(E);
           Legacy->enqueue(std::move(E));
+        }
       }
     });
   for (std::thread &W : Workers)
@@ -314,16 +339,13 @@ public:
   std::uint64_t Digest = 14695981039346656037ull;
 };
 
-std::uint64_t digestRun(const PayloadPool &Pool, std::size_t Lanes,
-                        std::size_t ArenaShards, bool Memo) {
+std::uint64_t digestRun(const PayloadPool &Pool, std::size_t Lanes) {
   ProcessorOptions Opts;
   Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = Lanes > 0;
   Opts.QueueDepth = 1024;
   Opts.Overflow = OverflowPolicy::Block;
   Opts.DispatchThreads = Lanes;
-  Opts.ArenaShards = ArenaShards;
-  Opts.ArenaMemo = Memo;
   EventProcessor Processor(Opts);
   PayloadDigestTool Digest;
   Processor.addTool(&Digest);
@@ -409,7 +431,7 @@ int main(int Argc, char **Argv) {
               "=================\n");
   std::printf("Ablation: admission path (ticketed ring + sharded arena + "
               "intern memo)\n"
-              "  vs the PR 4 mutex baseline (global queue mutex + 1-shard "
+              "  vs the PR 4 mutex baseline (global queue mutex + global "
               "arena mutex)\n");
   std::printf("==============================================================="
               "=================\n");
@@ -465,20 +487,13 @@ int main(int Argc, char **Argv) {
     std::printf("\n");
   }
 
-  // Determinism gate: Serial digests must not depend on lanes, shard
-  // count, or the memo.
+  // Determinism gate: Serial digests must not depend on the lane count.
   bool DigestsIdentical = true;
-  std::uint64_t Reference =
-      digestRun(Pool, /*Lanes=*/0, /*Shards=*/0, /*Memo=*/true);
-  for (std::size_t Lanes : {std::size_t(0), std::size_t(1), std::size_t(4)})
-    for (std::size_t Shards : {std::size_t(1), std::size_t(0)})
-      for (bool Memo : {true, false}) {
-        std::uint64_t Digest = digestRun(Pool, Lanes, Shards, Memo);
-        if (Digest != Reference)
-          DigestsIdentical = false;
-      }
-  std::printf("serial payload digest (sync/1-lane/4-lane x shards "
-              "{1, default} x memo {on, off}): %s\n",
+  std::uint64_t Reference = digestRun(Pool, /*Lanes=*/0);
+  for (std::size_t Lanes : {std::size_t(1), std::size_t(4)})
+    if (digestRun(Pool, Lanes) != Reference)
+      DigestsIdentical = false;
+  std::printf("serial payload digest (sync/1-lane/4-lane): %s\n",
               DigestsIdentical ? "byte-identical" : "MISMATCH");
 
   // Throughput gate. Two preconditions for the 2x figure to be

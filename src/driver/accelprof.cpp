@@ -10,8 +10,7 @@
 //             [--iters N] [--managed] [--oversub F]
 //             [--prefetch none|object|tensor] [--format text|json|csv]
 //             [--async] [--queue-depth N] [--overflow block|drop|sample[:N]]
-//             [--dispatch-threads N] [--arena-shards N]
-//             [--arena-max-bytes BYTES] [--capture FILE]
+//             [--dispatch-threads N] [--capture FILE]
 //             [--connect SOCKET [--tenant NAME]] <model>
 //   accelprof -t <tool> -b replay --trace FILE [--replay-speed S]
 //   accelprof --serve SOCKET [-t <tool>]... [--report-dir DIR]
@@ -46,12 +45,18 @@
 #include "support/Units.h"
 #include "tools/RegisterTools.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace pasta;
@@ -69,8 +74,7 @@ int usage(const char *Argv0) {
       "          [--format text|json|csv]\n"
       "          [--async] [--queue-depth N]\n"
       "          [--overflow block|drop|sample[:N]]\n"
-      "          [--dispatch-threads N] [--arena-shards N]\n"
-      "          [--arena-max-bytes BYTES] [--validate]\n"
+      "          [--dispatch-threads N] [--validate]\n"
       "          [--capture FILE] [--connect SOCKET [--tenant NAME]]\n"
       "          [--connect-timeout S] [--connect-retries N]\n"
       "          [--reconnect [--reconnect-max N] [--spill-max-bytes B]]\n"
@@ -91,6 +95,29 @@ int usage(const char *Argv0) {
       "equivalents) is documented with tuning guidance in docs/TUNING.md.\n",
       Argv0, Argv0, Argv0, Argv0, Argv0);
   return 2;
+}
+
+/// The value of numeric flag \p Flag: \p Text must be one whole finite
+/// number of type \p T (long long or double) — "abc", "12abc", " 12",
+/// "" and out-of-range values exit 2 with a one-line diagnostic.
+template <typename T> T numberArg(const char *Flag, const char *Text) {
+  constexpr bool Real = std::is_same_v<T, double>;
+  static_assert(Real || std::is_same_v<T, long long>);
+  char *End = nullptr;
+  errno = 0;
+  T Value;
+  if constexpr (Real)
+    Value = std::strtod(Text, &End);
+  else
+    Value = std::strtoll(Text, &End, 10);
+  if (End == Text || *End != '\0' ||
+      std::isspace(static_cast<unsigned char>(*Text)) || errno == ERANGE ||
+      !std::isfinite(static_cast<double>(Value))) {
+    std::fprintf(stderr, "error: %s needs %s, got '%s'\n", Flag,
+                 Real ? "a number" : "an integer", Text);
+    std::exit(2);
+  }
+  return Value;
 }
 
 /// The daemon the SIGTERM/SIGINT handlers stop. requestStop() is
@@ -227,6 +254,12 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    auto NextInt = [&](const char *Flag) {
+      return numberArg<long long>(Flag, NextValue(Flag));
+    };
+    auto NextReal = [&](const char *Flag) {
+      return numberArg<double>(Flag, NextValue(Flag));
+    };
     if (Arg == "--list-tools")
       return listTools();
     if (Arg == "--list-backends")
@@ -244,7 +277,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--trace") {
       Builder.trace(NextValue("--trace"));
     } else if (Arg == "--replay-speed") {
-      double Speed = std::atof(NextValue("--replay-speed"));
+      double Speed = NextReal("--replay-speed");
       if (Speed < 0.0) {
         std::fprintf(stderr,
                      "error: --replay-speed must be >= 0 (0 = full speed)\n");
@@ -260,7 +293,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--tenant") {
       Builder.tenant(NextValue("--tenant"));
     } else if (Arg == "--connect-timeout") {
-      double Seconds = std::atof(NextValue("--connect-timeout"));
+      double Seconds = NextReal("--connect-timeout");
       if (Seconds <= 0.0) {
         std::fprintf(stderr, "error: --connect-timeout needs a positive "
                              "number of seconds\n");
@@ -268,7 +301,7 @@ int main(int Argc, char **Argv) {
       }
       Builder.connectTimeout(Seconds);
     } else if (Arg == "--connect-retries") {
-      long long Retries = std::atoll(NextValue("--connect-retries"));
+      long long Retries = NextInt("--connect-retries");
       if (Retries < 0 || Retries > 1000) {
         std::fprintf(stderr,
                      "error: --connect-retries must be in [0, 1000]\n");
@@ -278,7 +311,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--reconnect") {
       Builder.reconnect();
     } else if (Arg == "--reconnect-max") {
-      long long Attempts = std::atoll(NextValue("--reconnect-max"));
+      long long Attempts = NextInt("--reconnect-max");
       if (Attempts <= 0 || Attempts > 1000) {
         std::fprintf(stderr,
                      "error: --reconnect-max must be in [1, 1000]\n");
@@ -287,7 +320,7 @@ int main(int Argc, char **Argv) {
       Builder.reconnectMax(static_cast<int>(Attempts));
       Builder.reconnect();
     } else if (Arg == "--spill-max-bytes") {
-      long long Bytes = std::atoll(NextValue("--spill-max-bytes"));
+      long long Bytes = NextInt("--spill-max-bytes");
       if (Bytes <= 0) {
         std::fprintf(stderr, "error: --spill-max-bytes must be positive\n");
         return 2;
@@ -298,7 +331,7 @@ int main(int Argc, char **Argv) {
       // Serve mode: tenant sessions dispatch on N lanes (enables the
       // set-lanes control verb). Client mode: same as --dispatch-threads
       // would be, a fixed lane count on the async pipeline.
-      long long N = std::atoll(NextValue("--lanes"));
+      long long N = NextInt("--lanes");
       if (N <= 0 || N > 64) {
         std::fprintf(stderr, "error: --lanes must be in [1, 64]\n");
         return 2;
@@ -308,7 +341,7 @@ int main(int Argc, char **Argv) {
       Builder.asyncEvents();
       Async = true;
     } else if (Arg == "--quota-max-connections") {
-      long long N = std::atoll(NextValue("--quota-max-connections"));
+      long long N = NextInt("--quota-max-connections");
       if (N <= 0) {
         std::fprintf(stderr,
                      "error: --quota-max-connections must be positive\n");
@@ -316,14 +349,14 @@ int main(int Argc, char **Argv) {
       }
       QuotaMaxConnections = static_cast<std::uint64_t>(N);
     } else if (Arg == "--quota-events-per-sec") {
-      QuotaEventsPerSec = std::atof(NextValue("--quota-events-per-sec"));
+      QuotaEventsPerSec = NextReal("--quota-events-per-sec");
       if (QuotaEventsPerSec <= 0.0) {
         std::fprintf(stderr,
                      "error: --quota-events-per-sec must be positive\n");
         return 2;
       }
     } else if (Arg == "--quota-bytes-per-sec") {
-      QuotaBytesPerSec = std::atof(NextValue("--quota-bytes-per-sec"));
+      QuotaBytesPerSec = NextReal("--quota-bytes-per-sec");
       if (QuotaBytesPerSec <= 0.0) {
         std::fprintf(stderr,
                      "error: --quota-bytes-per-sec must be positive\n");
@@ -337,7 +370,7 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--idle-timeout") {
-      IdleTimeout = std::atof(NextValue("--idle-timeout"));
+      IdleTimeout = NextReal("--idle-timeout");
       if (IdleTimeout <= 0.0) {
         std::fprintf(stderr, "error: --idle-timeout needs a positive "
                              "number of seconds\n");
@@ -348,7 +381,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--report-dir") {
       ReportDir = NextValue("--report-dir");
     } else if (Arg == "--report-every") {
-      ReportEvery = std::atof(NextValue("--report-every"));
+      ReportEvery = NextReal("--report-every");
       if (ReportEvery <= 0.0) {
         std::fprintf(stderr, "error: --report-every needs a positive "
                              "number of seconds\n");
@@ -360,11 +393,21 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--train") {
       Builder.training();
     } else if (Arg == "--iters") {
-      Builder.iterations(std::atoi(NextValue("--iters")));
+      long long Iters = NextInt("--iters");
+      if (Iters < 0 || Iters > INT_MAX) {
+        std::fprintf(stderr, "error: --iters must be in [0, %d] "
+                             "(0 = model default)\n", INT_MAX);
+        return 2;
+      }
+      Builder.iterations(static_cast<int>(Iters));
     } else if (Arg == "--managed") {
       Builder.managed();
     } else if (Arg == "--oversub") {
-      Oversub = std::atof(NextValue("--oversub"));
+      Oversub = NextReal("--oversub");
+      if (Oversub <= 0.0) {
+        std::fprintf(stderr, "error: --oversub must be positive\n");
+        return 2;
+      }
       Builder.managed();
     } else if (Arg == "--prefetch") {
       std::string Level = NextValue("--prefetch");
@@ -389,7 +432,7 @@ int main(int Argc, char **Argv) {
       Builder.asyncEvents();
       Async = true;
     } else if (Arg == "--queue-depth") {
-      long long Depth = std::atoll(NextValue("--queue-depth"));
+      long long Depth = NextInt("--queue-depth");
       if (Depth <= 0) {
         std::fprintf(stderr, "error: --queue-depth must be positive\n");
         return 2;
@@ -400,7 +443,7 @@ int main(int Argc, char **Argv) {
       Builder.asyncEvents();
       Async = true;
     } else if (Arg == "--dispatch-threads") {
-      long long Threads = std::atoll(NextValue("--dispatch-threads"));
+      long long Threads = NextInt("--dispatch-threads");
       if (Threads <= 0 || Threads > 64) {
         std::fprintf(stderr,
                      "error: --dispatch-threads must be in [1, 64]\n");
@@ -411,34 +454,13 @@ int main(int Argc, char **Argv) {
       Builder.dispatchThreads(static_cast<std::size_t>(Threads));
       Builder.asyncEvents();
       Async = true;
-    } else if (Arg == "--arena-shards") {
-      long long Shards = std::atoll(NextValue("--arena-shards"));
-      if (Shards <= 0 || Shards > 64) {
-        std::fprintf(stderr,
-                     "error: --arena-shards must be in [1, 64]\n");
-        return 2;
-      }
-      // The arena only runs on the async admission path; imply --async
-      // like the other queue knobs.
-      Builder.arenaShards(static_cast<std::size_t>(Shards));
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--arena-max-bytes") {
-      long long Bytes = std::atoll(NextValue("--arena-max-bytes"));
-      if (Bytes <= 0) {
-        std::fprintf(stderr,
-                     "error: --arena-max-bytes must be positive\n");
-        return 2;
-      }
-      Builder.arenaMaxBytes(static_cast<std::uint64_t>(Bytes));
-      Builder.asyncEvents();
-      Async = true;
     } else if (Arg == "--overflow") {
       std::string Spec = NextValue("--overflow");
       // "sample:16" selects the Sample policy keeping 1/16.
       std::size_t Colon = Spec.find(':');
       if (Colon != std::string::npos) {
-        long long EveryN = std::atoll(Spec.substr(Colon + 1).c_str());
+        long long EveryN = numberArg<long long>(
+            "--overflow sample:N", Spec.c_str() + Colon + 1);
         if (EveryN <= 0) {
           std::fprintf(stderr,
                        "error: --overflow sample:N needs a positive N\n");
@@ -457,10 +479,14 @@ int main(int Argc, char **Argv) {
       Builder.asyncEvents();
       Async = true;
     } else if (Arg == "--granularity") {
-      Builder.recordGranularity(
-          static_cast<std::uint64_t>(std::atoll(NextValue("--granularity"))));
+      long long Bytes = NextInt("--granularity");
+      if (Bytes <= 0) {
+        std::fprintf(stderr, "error: --granularity must be positive\n");
+        return 2;
+      }
+      Builder.recordGranularity(static_cast<std::uint64_t>(Bytes));
     } else if (Arg == "--sample-rate") {
-      Builder.sampleRate(std::atof(NextValue("--sample-rate")));
+      Builder.sampleRate(NextReal("--sample-rate"));
     } else if (Arg == "--format") {
       std::string Name = NextValue("--format");
       if (Name == "text")

@@ -18,9 +18,7 @@
 
 #include "pasta/Events.h"
 #include "pasta/Validate.h"
-#include "support/Logging.h"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <ostream>
@@ -288,21 +286,8 @@ std::size_t EventArena::defaultShardCount() {
   return Shards;
 }
 
-namespace {
-
-std::size_t resolveShardCount(const EventArenaOptions &Opts) {
-  if (Opts.Shards == 0)
-    return EventArena::defaultShardCount();
-  return std::min<std::size_t>(Opts.Shards, 64);
-}
-
-} // namespace
-
-EventArena::EventArena() : EventArena(EventArenaOptions()) {}
-
-EventArena::EventArena(const EventArenaOptions &Opts)
-    : Opts(Opts), Id(nextArenaId()) {
-  std::size_t Count = resolveShardCount(Opts);
+EventArena::EventArena() : Id(nextArenaId()) {
+  std::size_t Count = defaultShardCount();
   Shards.reserve(Count);
   for (std::size_t I = 0; I < Count; ++I)
     Shards.push_back(std::make_unique<Shard>());
@@ -324,23 +309,6 @@ std::unique_lock<std::mutex> EventArena::lockShard(Shard &S) {
     Lock.lock();
   }
   return Lock;
-}
-
-bool EventArena::pastByteCap(std::uint64_t AddedBytes) {
-  if (Opts.MaxBytes == 0)
-    return false;
-  if (TotalBytes.load(std::memory_order_relaxed) + AddedBytes <=
-      Opts.MaxBytes)
-    return false;
-  Fallbacks.fetch_add(1, std::memory_order_relaxed);
-  if (!CapWarned.exchange(true, std::memory_order_relaxed))
-    logWarning("EventArena: resident payloads reached the "
-               "arena byte cap (" +
-               std::to_string(Opts.MaxBytes) +
-               " bytes); new payloads fall back to per-event owned "
-               "pins without deduplication (counted as "
-               "arena.evicted_fallbacks)");
-  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -367,12 +335,10 @@ void EventArena::intern(Event &E) {
   PayloadOp Ops[4];
   std::size_t NumOps = 0;
   ThreadMemos &Memos = threadMemos();
-  const bool UseMemo = Opts.InternMemo;
 
   if (!E.OpName.empty()) {
     std::uint64_t Hash = E.OpName.contentHash();
-    const auto *Cached =
-        UseMemo ? Memos.Strings.lookup(Id, Hash) : nullptr;
+    const auto *Cached = Memos.Strings.lookup(Id, Hash);
     if (Cached && **Cached == E.OpName.str()) {
       E.OpName.adopt(*Cached);
       MemoHits.fetch_add(1, std::memory_order_relaxed);
@@ -382,8 +348,7 @@ void EventArena::intern(Event &E) {
   }
   if (!E.LayerName.empty()) {
     std::uint64_t Hash = E.LayerName.contentHash();
-    const auto *Cached =
-        UseMemo ? Memos.Strings.lookup(Id, Hash) : nullptr;
+    const auto *Cached = Memos.Strings.lookup(Id, Hash);
     if (Cached && **Cached == E.LayerName.str()) {
       E.LayerName.adopt(*Cached);
       MemoHits.fetch_add(1, std::memory_order_relaxed);
@@ -393,8 +358,7 @@ void EventArena::intern(Event &E) {
   }
   if (!E.PythonStack.empty()) {
     std::uint64_t Hash = E.PythonStack.contentHash();
-    const auto *Cached =
-        UseMemo ? Memos.Stacks.lookup(Id, Hash) : nullptr;
+    const auto *Cached = Memos.Stacks.lookup(Id, Hash);
     if (Cached && **Cached == E.PythonStack.frames()) {
       E.PythonStack.adopt(*Cached);
       MemoHits.fetch_add(1, std::memory_order_relaxed);
@@ -404,8 +368,7 @@ void EventArena::intern(Event &E) {
   }
   if (E.Kernel) {
     std::uint64_t Hash = hashKernel(*E.Kernel);
-    const auto *Cached =
-        UseMemo ? Memos.Kernels.lookup(Id, Hash) : nullptr;
+    const auto *Cached = Memos.Kernels.lookup(Id, Hash);
     if (Cached && kernelEqual(**Cached, *E.Kernel)) {
       E.adoptKernel(*Cached);
       MemoHits.fetch_add(1, std::memory_order_relaxed);
@@ -418,7 +381,6 @@ void EventArena::intern(Event &E) {
 
   // Group by shard: one lock acquisition per involved shard per event.
   bool Done[4] = {false, false, false, false};
-  bool Resident[4] = {false, false, false, false};
   for (std::size_t I = 0; I < NumOps; ++I) {
     if (Done[I])
       continue;
@@ -430,50 +392,35 @@ void EventArena::intern(Event &E) {
       Done[J] = true;
       switch (Ops[J].What) {
       case POpName:
-        E.OpName =
-            internStringLocked(S, Ops[J].Hash, E.OpName, Resident[J]);
+        E.OpName = internStringLocked(S, Ops[J].Hash, E.OpName);
         break;
       case PLayerName:
-        E.LayerName = internStringLocked(S, Ops[J].Hash, E.LayerName,
-                                         Resident[J]);
+        E.LayerName = internStringLocked(S, Ops[J].Hash, E.LayerName);
         break;
       case PStack:
-        E.PythonStack = internStackLocked(S, Ops[J].Hash, E.PythonStack,
-                                          Resident[J]);
+        E.PythonStack = internStackLocked(S, Ops[J].Hash, E.PythonStack);
         break;
       case PKernel:
-        E.adoptKernel(
-            internKernelLocked(S, Ops[J].Hash, *E.Kernel, Resident[J]));
+        E.adoptKernel(internKernelLocked(S, Ops[J].Hash, *E.Kernel));
         break;
       }
     }
   }
-  // Install the canonical results in the memo, outside any lock —
-  // table-resident handles only: a guard-rail fallback pin is not
-  // canonical, and memoizing it would hide subsequent fallbacks from
-  // the arena.evicted_fallbacks accounting.
-  if (UseMemo) {
-    for (std::size_t I = 0; I < NumOps; ++I) {
-      if (!Resident[I])
-        continue;
-      switch (Ops[I].What) {
-      case POpName:
-        if (E.OpName.handle())
-          Memos.Strings.install(Id, Ops[I].Hash, E.OpName.handle());
-        break;
-      case PLayerName:
-        if (E.LayerName.handle())
-          Memos.Strings.install(Id, Ops[I].Hash, E.LayerName.handle());
-        break;
-      case PStack:
-        if (E.PythonStack.handle())
-          Memos.Stacks.install(Id, Ops[I].Hash, E.PythonStack.handle());
-        break;
-      case PKernel:
-        if (E.ownedKernel())
-          Memos.Kernels.install(Id, Ops[I].Hash, E.ownedKernel());
-        break;
-      }
+  // Install the canonical results in the memo, outside any lock.
+  for (std::size_t I = 0; I < NumOps; ++I) {
+    switch (Ops[I].What) {
+    case POpName:
+      Memos.Strings.install(Id, Ops[I].Hash, E.OpName.handle());
+      break;
+    case PLayerName:
+      Memos.Strings.install(Id, Ops[I].Hash, E.LayerName.handle());
+      break;
+    case PStack:
+      Memos.Stacks.install(Id, Ops[I].Hash, E.PythonStack.handle());
+      break;
+    case PKernel:
+      Memos.Kernels.install(Id, Ops[I].Hash, E.ownedKernel());
+      break;
     }
   }
 }
@@ -487,31 +434,25 @@ PayloadString EventArena::internString(const PayloadString &S) {
     return S;
   std::uint64_t Hash = S.contentHash();
   ThreadMemos &Memos = threadMemos();
-  if (Opts.InternMemo) {
-    if (const auto *Cached = Memos.Strings.lookup(Id, Hash);
-        Cached && **Cached == S.str()) {
-      MemoHits.fetch_add(1, std::memory_order_relaxed);
-      PayloadString Canonical;
-      Canonical.adopt(*Cached);
-      return Canonical;
-    }
+  if (const auto *Cached = Memos.Strings.lookup(Id, Hash);
+      Cached && **Cached == S.str()) {
+    MemoHits.fetch_add(1, std::memory_order_relaxed);
+    PayloadString Canonical;
+    Canonical.adopt(*Cached);
+    return Canonical;
   }
   Shard &Sh = shardFor(Hash);
   PayloadString Result;
-  bool Resident = false;
   {
     std::unique_lock<std::mutex> Lock = lockShard(Sh);
-    Result = internStringLocked(Sh, Hash, S, Resident);
+    Result = internStringLocked(Sh, Hash, S);
   }
-  if (Opts.InternMemo && Resident && Result.handle())
-    Memos.Strings.install(Id, Hash, Result.handle());
+  Memos.Strings.install(Id, Hash, Result.handle());
   return Result;
 }
 
 PayloadString EventArena::internStringLocked(Shard &S, std::uint64_t Hash,
-                                             const PayloadString &Str,
-                                             bool &Resident) {
-  Resident = true;
+                                             const PayloadString &Str) {
   auto &Bucket = S.Strings[Hash];
   for (const auto &Existing : Bucket)
     if (*Existing == Str.str()) {
@@ -520,21 +461,12 @@ PayloadString EventArena::internStringLocked(Shard &S, std::uint64_t Hash,
       Canonical.adopt(Existing);
       return Canonical;
     }
-  // First sight: past the byte cap the payload keeps its own (per-event
-  // owned) allocation; otherwise its existing allocation becomes the
-  // canonical resident one (no copy either way).
-  std::uint64_t Bytes = Str.size();
-  if (pastByteCap(Bytes)) {
-    if (Bucket.empty())
-      S.Strings.erase(Hash);
-    Resident = false;
-    return Str;
-  }
+  // First sight: the payload's existing allocation becomes the
+  // canonical resident one (no copy).
   Bucket.push_back(Str.handle());
   ++S.Counters.Misses;
   ++S.Counters.Strings;
-  S.Counters.Bytes += Bytes;
-  TotalBytes.fetch_add(Bytes, std::memory_order_relaxed);
+  S.Counters.Bytes += Str.size();
   if (Val)
     Val->registerPayload(Str.handle().get(), "string");
   return Str;
@@ -545,31 +477,25 @@ PayloadStack EventArena::internStack(const PayloadStack &S) {
     return S;
   std::uint64_t Hash = S.contentHash();
   ThreadMemos &Memos = threadMemos();
-  if (Opts.InternMemo) {
-    if (const auto *Cached = Memos.Stacks.lookup(Id, Hash);
-        Cached && **Cached == S.frames()) {
-      MemoHits.fetch_add(1, std::memory_order_relaxed);
-      PayloadStack Canonical;
-      Canonical.adopt(*Cached);
-      return Canonical;
-    }
+  if (const auto *Cached = Memos.Stacks.lookup(Id, Hash);
+      Cached && **Cached == S.frames()) {
+    MemoHits.fetch_add(1, std::memory_order_relaxed);
+    PayloadStack Canonical;
+    Canonical.adopt(*Cached);
+    return Canonical;
   }
   Shard &Sh = shardFor(Hash);
   PayloadStack Result;
-  bool Resident = false;
   {
     std::unique_lock<std::mutex> Lock = lockShard(Sh);
-    Result = internStackLocked(Sh, Hash, S, Resident);
+    Result = internStackLocked(Sh, Hash, S);
   }
-  if (Opts.InternMemo && Resident && Result.handle())
-    Memos.Stacks.install(Id, Hash, Result.handle());
+  Memos.Stacks.install(Id, Hash, Result.handle());
   return Result;
 }
 
 PayloadStack EventArena::internStackLocked(Shard &S, std::uint64_t Hash,
-                                           const PayloadStack &Stack,
-                                           bool &Resident) {
-  Resident = true;
+                                           const PayloadStack &Stack) {
   auto &Bucket = S.Stacks[Hash];
   for (const auto &Existing : Bucket)
     if (*Existing == Stack.frames()) {
@@ -578,18 +504,10 @@ PayloadStack EventArena::internStackLocked(Shard &S, std::uint64_t Hash,
       Canonical.adopt(Existing);
       return Canonical;
     }
-  std::uint64_t Bytes = stackBytes(Stack.frames());
-  if (pastByteCap(Bytes)) {
-    if (Bucket.empty())
-      S.Stacks.erase(Hash);
-    Resident = false;
-    return Stack;
-  }
   Bucket.push_back(Stack.handle());
   ++S.Counters.Misses;
   ++S.Counters.Stacks;
-  S.Counters.Bytes += Bytes;
-  TotalBytes.fetch_add(Bytes, std::memory_order_relaxed);
+  S.Counters.Bytes += stackBytes(Stack.frames());
   if (Val)
     Val->registerPayload(Stack.handle().get(), "stack");
   return Stack;
@@ -599,49 +517,35 @@ std::shared_ptr<const sim::KernelDesc>
 EventArena::internKernel(const sim::KernelDesc &K) {
   std::uint64_t Hash = hashKernel(K);
   ThreadMemos &Memos = threadMemos();
-  if (Opts.InternMemo) {
-    if (const auto *Cached = Memos.Kernels.lookup(Id, Hash);
-        Cached && kernelEqual(**Cached, K)) {
-      MemoHits.fetch_add(1, std::memory_order_relaxed);
-      return *Cached;
-    }
+  if (const auto *Cached = Memos.Kernels.lookup(Id, Hash);
+      Cached && kernelEqual(**Cached, K)) {
+    MemoHits.fetch_add(1, std::memory_order_relaxed);
+    return *Cached;
   }
   Shard &Sh = shardFor(Hash);
   std::shared_ptr<const sim::KernelDesc> Result;
-  bool Resident = false;
   {
     std::unique_lock<std::mutex> Lock = lockShard(Sh);
-    Result = internKernelLocked(Sh, Hash, K, Resident);
+    Result = internKernelLocked(Sh, Hash, K);
   }
-  if (Opts.InternMemo && Resident && Result)
-    Memos.Kernels.install(Id, Hash, Result);
+  Memos.Kernels.install(Id, Hash, Result);
   return Result;
 }
 
 std::shared_ptr<const sim::KernelDesc>
 EventArena::internKernelLocked(Shard &S, std::uint64_t Hash,
-                               const sim::KernelDesc &K,
-                               bool &Resident) {
-  Resident = true;
+                               const sim::KernelDesc &K) {
   auto &Bucket = S.Kernels[Hash];
   for (const auto &Existing : Bucket)
     if (kernelEqual(*Existing, K)) {
       ++S.Counters.Hits;
       return Existing;
     }
-  std::uint64_t Bytes = kernelBytes(K);
-  if (pastByteCap(Bytes)) {
-    if (Bucket.empty())
-      S.Kernels.erase(Hash);
-    Resident = false;
-    return std::make_shared<const sim::KernelDesc>(K);
-  }
   auto Stored = std::make_shared<const sim::KernelDesc>(K);
   Bucket.push_back(Stored);
   ++S.Counters.Misses;
   ++S.Counters.Kernels;
-  S.Counters.Bytes += Bytes;
-  TotalBytes.fetch_add(Bytes, std::memory_order_relaxed);
+  S.Counters.Bytes += kernelBytes(K);
   if (Val)
     Val->registerPayload(Stored.get(), "kernel");
   return Stored;
@@ -672,7 +576,6 @@ EventArenaStats EventArena::stats() const {
   Total.MemoHits = MemoHits.load(std::memory_order_relaxed);
   Total.Hits += Total.MemoHits;
   Total.ShardContention = Contention.load(std::memory_order_relaxed);
-  Total.EvictedFallbacks = Fallbacks.load(std::memory_order_relaxed);
   Total.Shards = Shards.size();
   return Total;
 }

@@ -50,14 +50,6 @@ struct AdmissionTag {
 };
 thread_local AdmissionTag CurrentAdmission;
 
-EventArenaOptions arenaOptionsOf(const ProcessorOptions &Opts) {
-  EventArenaOptions ArenaOpts;
-  ArenaOpts.Shards = Opts.ArenaShards;
-  ArenaOpts.InternMemo = Opts.ArenaMemo;
-  ArenaOpts.MaxBytes = Opts.ArenaMaxBytes;
-  return ArenaOpts;
-}
-
 } // namespace
 
 namespace pasta {
@@ -137,7 +129,7 @@ EventProcessor::EventProcessor(std::size_t DeviceAnalysisThreads)
 }
 
 EventProcessor::EventProcessor(const ProcessorOptions &Opts)
-    : Arena(arenaOptionsOf(Opts)), AnalysisThreads(Opts.AnalysisThreads) {
+    : AnalysisThreads(Opts.AnalysisThreads) {
   if (Opts.Validate) {
     Val = std::make_unique<Validator>();
     Arena.setValidator(Val.get());
@@ -663,7 +655,6 @@ ProcessorStats EventProcessor::stats() const {
   Snapshot.ArenaHits = ArenaSnapshot.Hits;
   Snapshot.ArenaMemoHits = ArenaSnapshot.MemoHits;
   Snapshot.ArenaShardContention = ArenaSnapshot.ShardContention;
-  Snapshot.ArenaEvictedFallbacks = ArenaSnapshot.EvictedFallbacks;
   Snapshot.ArenaShards = ArenaSnapshot.Shards;
   for (const auto &L : Lanes) {
     EventQueueCounters Counters = L->Queue->counters();
@@ -725,8 +716,6 @@ void EventProcessor::reportPipeline(ReportSink &Sink) const {
     Sink.metric("arena.memo_hits", Snapshot.ArenaMemoHits);
     Sink.metric("arena.shards", Snapshot.ArenaShards);
     Sink.metric("arena.shard_contention", Snapshot.ArenaShardContention);
-    Sink.metric("arena.evicted_fallbacks",
-                Snapshot.ArenaEvictedFallbacks);
   }
   if (Lanes.size() > 1) {
     std::vector<DispatchLaneStats> PerLane = laneStats();

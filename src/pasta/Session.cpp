@@ -316,10 +316,6 @@ std::unique_ptr<Session> SessionBuilder::build(SessionError &Err) {
     Err.assign("dispatch thread count must be in [1, 64]");
     return nullptr;
   }
-  if (Proc.ArenaShards > 64) {
-    Err.assign("arena shard count must be in [1, 64] (0 = auto)");
-    return nullptr;
-  }
   if (Opts.ReplaySpeed < 0.0) {
     Err.assign("replay speed must be >= 0 (0 = full speed)");
     return nullptr;

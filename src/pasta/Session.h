@@ -86,8 +86,8 @@ struct SessionOptions {
   std::uint64_t RecordGranularityBytes = 4096;
   std::uint64_t DeviceBufferRecords = 1u << 20;
   /// Dispatch-unit configuration: analysis-thread width, async event
-  /// pipeline, queue depth and overflow policy, dispatch lanes, payload
-  /// arena and runtime contract validation.
+  /// pipeline, queue depth and overflow policy, dispatch lanes and
+  /// runtime contract validation.
   ProcessorOptions Processor;
   /// Non-empty: capture the admitted event stream into this binary trace
   /// file (a trace_capture tool is attached automatically; see
@@ -344,26 +344,6 @@ public:
   /// tools stay pinned to one.
   SessionBuilder &dispatchThreads(std::size_t Threads) {
     Opts.Processor.DispatchThreads = Threads;
-    return *this;
-  }
-  /// Content-hash shards for the payload arena (0 = hardware-derived
-  /// default). More shards cut admission contention when many producer
-  /// threads intern string-bearing events concurrently.
-  SessionBuilder &arenaShards(std::size_t Shards) {
-    Opts.Processor.ArenaShards = Shards;
-    return *this;
-  }
-  /// Toggles the thread-local intern memo in front of the arena shards
-  /// (on by default; repeated payloads resolve with zero locks).
-  SessionBuilder &arenaMemo(bool Enabled = true) {
-    Opts.Processor.ArenaMemo = Enabled;
-    return *this;
-  }
-  /// Caps resident arena payload bytes (0 = unlimited). Past the cap,
-  /// new payloads are admitted as per-event owned pins and counted as
-  /// arena.evicted_fallbacks.
-  SessionBuilder &arenaMaxBytes(std::uint64_t Bytes) {
-    Opts.Processor.ArenaMaxBytes = Bytes;
     return *this;
   }
   /// Turns on the runtime contract validator (docs/VALIDATION.md): the

@@ -766,11 +766,8 @@ TEST(AsyncPipeline, SubscriptionOfReportsAttachedContracts) {
 namespace {
 
 /// Runs the fixed seeded workload and returns the JSON tool reports.
-/// \p DispatchThreads selects the async lane count (ignored when sync);
-/// \p ArenaShards / \p ArenaMemo configure the admission arena.
-std::string runFixedWorkload(bool Async, std::size_t DispatchThreads = 1,
-                             std::size_t ArenaShards = 0,
-                             bool ArenaMemo = true) {
+/// \p DispatchThreads selects the async lane count (ignored when sync).
+std::string runFixedWorkload(bool Async, std::size_t DispatchThreads = 1) {
   SessionError Err;
   SessionBuilder Builder;
   Builder.tool("kernel_frequency")
@@ -784,9 +781,7 @@ std::string runFixedWorkload(bool Async, std::size_t DispatchThreads = 1,
     Builder.asyncEvents()
         .queueDepth(64)
         .overflowPolicy(OverflowPolicy::Block)
-        .dispatchThreads(DispatchThreads)
-        .arenaShards(ArenaShards)
-        .arenaMemo(ArenaMemo);
+        .dispatchThreads(DispatchThreads);
   std::unique_ptr<Session> S = Builder.build(Err);
   EXPECT_NE(S, nullptr) << Err.message();
   if (!S)
@@ -818,18 +813,6 @@ TEST(AsyncPipeline, ShardedBlockPolicyReportsAreByteIdenticalToSync) {
     std::string Sharded = runFixedWorkload(/*Async=*/true, Lanes);
     EXPECT_EQ(Sync, Sharded) << Lanes << " lanes";
   }
-}
-
-TEST(AsyncPipeline, ArenaConfigsKeepReportsByteIdentical) {
-  // The sharded arena and the intern memo are pure canonicalization
-  // mechanics: whatever the shard count or memo setting, tool reports
-  // must be byte-identical to synchronous dispatch.
-  tools::registerBuiltinTools();
-  std::string Sync = runFixedWorkload(/*Async=*/false);
-  EXPECT_EQ(Sync, runFixedWorkload(true, 2, /*ArenaShards=*/1,
-                                   /*ArenaMemo=*/false));
-  EXPECT_EQ(Sync, runFixedWorkload(true, 2, /*ArenaShards=*/8,
-                                   /*ArenaMemo=*/true));
 }
 
 TEST(AsyncPipeline, SessionSurfacesPipelineCounters) {
