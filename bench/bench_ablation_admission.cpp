@@ -29,7 +29,14 @@
 // Structural gates (exit code):
 //  * at 8 producers, the hot-class ring+shards throughput must be
 //    >= 2x the mutex baseline (enforced for full-size runs; --events
-//    below 5000 — the CI smoke — still prints the ratio);
+//    below 5000 — the CI smoke — still prints the ratio).
+//    Open defect: on a 4-thread VM this gate is bimodal. The 8-producer
+//    mutex baseline reads 0.85-1.02 Mev/s in some runs and 2.2-4.2
+//    Mev/s in others, while ring+shards stays at 2.9-4.7 Mev/s; two
+//    series of full-size runs, before and after the arena-knob removal,
+//    passed 3 of 24 and 2 of 18. The verdict follows the scheduler, not
+//    the code. The threshold stays 2x until the ring path is faster or
+//    the claim is recorded as not met;
 //  * a Serial digest tool folding payload bytes must produce
 //    byte-identical digests under sync, 1-lane and 4-lane dispatch
 //    (Block policy, single producer).

@@ -39,12 +39,14 @@ ScheduleBuilder::ScheduleBuilder(std::string ModelName, Options Opts)
 }
 
 SymTensor ScheduleBuilder::declare(const std::string &Name, TensorShape Shape,
-                                   DataType Type, TensorRole Role) {
+                                   DataType Type, TensorRole Role,
+                                   std::size_t IterPos) {
   TensorDecl Decl;
   Decl.Name = Name;
   Decl.Shape = std::move(Shape);
   Decl.Type = Type;
   Decl.Role = Role;
+  Decl.IterPos = IterPos;
   Prog.Tensors.push_back(std::move(Decl));
   GradOf.push_back(NoTensor);
   return static_cast<SymTensor>(Prog.Tensors.size() - 1);
@@ -52,25 +54,29 @@ SymTensor ScheduleBuilder::declare(const std::string &Name, TensorShape Shape,
 
 SymTensor ScheduleBuilder::weight(const std::string &Name, TensorShape Shape,
                                   DataType Type) {
-  assert(!InIteration && "declare weights before the first iteration");
+  assert(!InIteration && !Lowered && "declare weights before the iteration");
   SymTensor W = declare(Name, std::move(Shape), Type, TensorRole::Weight);
   PersistentWeights.push_back(W);
 
   Step Alloc;
   Alloc.Kind = StepKind::Alloc;
   Alloc.Tensor = W;
-  Prog.Steps.push_back(std::move(Alloc));
+  Prog.Head.push_back(std::move(Alloc));
 
   Step Stage;
   Stage.Kind = StepKind::CopyH2D;
   Stage.Bytes = Prog.Tensors[W].bytes();
-  Prog.Steps.push_back(std::move(Stage));
+  Prog.Head.push_back(std::move(Stage));
   return W;
 }
 
 void ScheduleBuilder::beginIteration() {
   assert(!InIteration && "nested iteration");
+  if (Lowered)
+    reportFatalError("a Program lowers one iteration; replay it with "
+                     "ScheduleBuilder::Options::Iterations");
   InIteration = true;
+  Prog.IterFirst = static_cast<SymTensor>(Prog.Tensors.size());
   Ops.clear();
   NumForwardOps = 0;
 }
@@ -78,8 +84,10 @@ void ScheduleBuilder::beginIteration() {
 SymTensor ScheduleBuilder::input(const std::string &Name, TensorShape Shape,
                                  DataType Type) {
   assert(InIteration && "input() outside an iteration");
-  SymTensor T = declare(format("%s.iter%d", Name.c_str(), IterationIndex),
-                        std::move(Shape), Type, TensorRole::Input);
+  // "<name>.iter0": the executor renumbers the 0 per replayed iteration.
+  std::string Prefix = Name + ".iter";
+  SymTensor T = declare(Prefix + "0", std::move(Shape), Type,
+                        TensorRole::Input, Prefix.size());
   OpIR Op;
   Op.OpName = "aten::copy_";
   Op.LayerName = "input";
@@ -725,6 +733,7 @@ SymTensor ScheduleBuilder::reshape(SymTensor X, TensorShape NewShape) {
   Decl.Shape = std::move(NewShape);
   Decl.Type = Prog.Tensors[X].Type;
   Decl.Role = Prog.Tensors[X].Role;
+  Decl.IterPos = Prog.Tensors[X].IterPos;
   Prog.Tensors.push_back(std::move(Decl));
   GradOf.push_back(NoTensor);
   SymTensor Alias = static_cast<SymTensor>(Prog.Tensors.size() - 1);
@@ -754,7 +763,7 @@ SymTensor ScheduleBuilder::gradTensor(SymTensor T) {
   T = resolveAlias(T);
   const TensorDecl &Decl = Prog.Tensors[T];
   return declare(Decl.Name + ".grad", Decl.Shape, Decl.Type,
-                 TensorRole::Gradient);
+                 TensorRole::Gradient, Decl.IterPos);
 }
 
 void ScheduleBuilder::setGrad(SymTensor T, SymTensor Grad,
@@ -1037,18 +1046,14 @@ void ScheduleBuilder::synthesizeOptimizer() {
   if (Pending.empty())
     return;
 
-  // Momentum buffers are persistent: declared on the first iteration.
-  if (WeightMomentum.empty()) {
-    for (SymTensor W : Pending) {
-      SymTensor M = declare(Prog.Tensors[W].Name + ".momentum",
-                            Prog.Tensors[W].Shape, Prog.Tensors[W].Type,
-                            TensorRole::OptState);
-      WeightMomentum.emplace_back(W, M);
-    }
+  // Momentum buffers are persistent: allocated once, ahead of the
+  // replayed iterations.
+  for (SymTensor W : Pending) {
+    SymTensor M = declare(Prog.Tensors[W].Name + ".momentum",
+                          Prog.Tensors[W].Shape, Prog.Tensors[W].Type,
+                          TensorRole::OptState);
+    WeightMomentum.emplace_back(W, M);
   }
-  std::unordered_map<SymTensor, SymTensor> MomentumOf;
-  for (auto &[W, M] : WeightMomentum)
-    MomentumOf[W] = M;
 
   for (std::size_t Begin = 0; Begin < Pending.size();
        Begin += ParamsPerKernel) {
@@ -1061,9 +1066,8 @@ void ScheduleBuilder::synthesizeOptimizer() {
     K.Name = "at::native::multi_tensor_apply_kernel<SGDMomentum>";
     std::uint64_t Elems = 0;
     for (std::size_t I = Begin; I < End; ++I) {
-      SymTensor W = Pending[I];
+      auto [W, M] = WeightMomentum[I];
       SymTensor G = GradOf[W];
-      SymTensor M = MomentumOf[W];
       Op.Weights.push_back(W);
       Op.ActInputs.push_back(G);
       K.Uses.push_back({G, sim::AccessKind::Load, 1.0});
@@ -1134,7 +1138,7 @@ void ScheduleBuilder::lowerIteration() {
 
   Step Iter;
   Iter.Kind = StepKind::IterBegin;
-  Prog.Steps.push_back(Iter);
+  Prog.Iteration.push_back(Iter);
 
   std::vector<SymTensor> Alive;
   std::string OpenLayer;
@@ -1147,7 +1151,7 @@ void ScheduleBuilder::lowerIteration() {
     Step S;
     S.Kind = StepKind::LayerEnd;
     S.Name = OpenLayer;
-    Prog.Steps.push_back(std::move(S));
+    Prog.Iteration.push_back(std::move(S));
     OpenLayer.clear();
   };
   auto ClosePhase = [&] {
@@ -1157,7 +1161,7 @@ void ScheduleBuilder::lowerIteration() {
     Step S;
     S.Kind = StepKind::PhaseEnd;
     S.Phase = CurrentPhase;
-    Prog.Steps.push_back(std::move(S));
+    Prog.Iteration.push_back(std::move(S));
     PhaseOpen = false;
   };
 
@@ -1170,7 +1174,7 @@ void ScheduleBuilder::lowerIteration() {
       Step S;
       S.Kind = StepKind::PhaseBegin;
       S.Phase = CurrentPhase;
-      Prog.Steps.push_back(std::move(S));
+      Prog.Iteration.push_back(std::move(S));
       PhaseOpen = true;
     }
     if (Op.LayerName != OpenLayer) {
@@ -1179,7 +1183,7 @@ void ScheduleBuilder::lowerIteration() {
         Step S;
         S.Kind = StepKind::LayerBegin;
         S.Name = Op.LayerName;
-        Prog.Steps.push_back(std::move(S));
+        Prog.Iteration.push_back(std::move(S));
         OpenLayer = Op.LayerName;
       }
     }
@@ -1190,7 +1194,7 @@ void ScheduleBuilder::lowerIteration() {
     Begin.LayerName = Op.LayerName;
     Begin.Phase = Op.Phase;
     Begin.PythonStack = pythonStackFor(Op);
-    Prog.Steps.push_back(std::move(Begin));
+    Prog.Iteration.push_back(std::move(Begin));
 
     for (SymTensor T : Op.Outputs) {
       SymTensor Base = resolveAlias(T);
@@ -1199,7 +1203,7 @@ void ScheduleBuilder::lowerIteration() {
       Step Alloc;
       Alloc.Kind = StepKind::Alloc;
       Alloc.Tensor = Base;
-      Prog.Steps.push_back(std::move(Alloc));
+      Prog.Iteration.push_back(std::move(Alloc));
       Alive.push_back(Base);
     }
 
@@ -1207,7 +1211,7 @@ void ScheduleBuilder::lowerIteration() {
       Step Copy;
       Copy.Kind = StepKind::CopyH2D;
       Copy.Bytes = Op.H2DBytes;
-      Prog.Steps.push_back(std::move(Copy));
+      Prog.Iteration.push_back(std::move(Copy));
     }
 
     for (const KernelStep &K : Op.Kernels) {
@@ -1221,7 +1225,7 @@ void ScheduleBuilder::lowerIteration() {
       // resolves operands to device addresses.
       for (KernelUse &U : S.Kernel.Uses)
         U.Tensor = resolveAlias(U.Tensor);
-      Prog.Steps.push_back(std::move(S));
+      Prog.Iteration.push_back(std::move(S));
     }
 
     Step End;
@@ -1229,7 +1233,7 @@ void ScheduleBuilder::lowerIteration() {
     End.Name = Op.OpName;
     End.LayerName = Op.LayerName;
     End.Phase = Op.Phase;
-    Prog.Steps.push_back(std::move(End));
+    Prog.Iteration.push_back(std::move(End));
 
     // Free iteration-scoped tensors whose last use just executed.
     for (auto It = Alive.begin(); It != Alive.end();) {
@@ -1244,7 +1248,7 @@ void ScheduleBuilder::lowerIteration() {
       Step FreeStep;
       FreeStep.Kind = StepKind::Free;
       FreeStep.Tensor = T;
-      Prog.Steps.push_back(std::move(FreeStep));
+      Prog.Iteration.push_back(std::move(FreeStep));
       It = Alive.erase(It);
     }
   }
@@ -1258,38 +1262,36 @@ void ScheduleBuilder::lowerIteration() {
     Step FreeStep;
     FreeStep.Kind = StepKind::Free;
     FreeStep.Tensor = T;
-    Prog.Steps.push_back(std::move(FreeStep));
+    Prog.Iteration.push_back(std::move(FreeStep));
   }
 
   Step IterEnd;
   IterEnd.Kind = StepKind::IterEnd;
-  Prog.Steps.push_back(IterEnd);
+  Prog.Iteration.push_back(IterEnd);
 }
 
 void ScheduleBuilder::endIteration() {
   assert(InIteration && "endIteration without beginIteration");
-  if (Opts.Training) {
+  if (Opts.Training)
     synthesizeBackward();
+  // Everything declared so far belongs to the iteration; the momentum
+  // buffers synthesizeOptimizer() declares next are persistent.
+  Prog.IterTensors =
+      static_cast<std::uint32_t>(Prog.Tensors.size() - Prog.IterFirst);
+  if (Opts.Training)
     synthesizeOptimizer();
-  }
-  // Momentum buffers need allocation steps once, before this iteration's
-  // steps reference them; splice their Allocs in now (first iteration).
-  if (Opts.Training && IterationIndex == 0) {
-    for (auto &[W, M] : WeightMomentum) {
-      Step Alloc;
-      Alloc.Kind = StepKind::Alloc;
-      Alloc.Tensor = M;
-      Prog.Steps.push_back(std::move(Alloc));
-    }
+  // Momentum buffers are allocated once, before the first iteration
+  // references them.
+  for (auto &[W, M] : WeightMomentum) {
+    Step Alloc;
+    Alloc.Kind = StepKind::Alloc;
+    Alloc.Tensor = M;
+    Prog.Head.push_back(std::move(Alloc));
   }
   lowerIteration();
-  // Gradients of weights are iteration-scoped in GradOf: reset so the
-  // next iteration re-creates them (fresh grad buffers per step, like
-  // zero_grad(set_to_none=True)).
-  std::fill(GradOf.begin(), GradOf.end(), NoTensor);
   Ops.clear();
   InIteration = false;
-  ++IterationIndex;
+  Lowered = true;
 }
 
 Program ScheduleBuilder::finish() {
@@ -1299,13 +1301,16 @@ Program ScheduleBuilder::finish() {
     Step FreeStep;
     FreeStep.Kind = StepKind::Free;
     FreeStep.Tensor = M;
-    Prog.Steps.push_back(std::move(FreeStep));
+    Prog.Tail.push_back(std::move(FreeStep));
   }
   for (SymTensor W : PersistentWeights) {
     Step FreeStep;
     FreeStep.Kind = StepKind::Free;
     FreeStep.Tensor = W;
-    Prog.Steps.push_back(std::move(FreeStep));
+    Prog.Tail.push_back(std::move(FreeStep));
   }
+  Prog.KernelsPerIteration = static_cast<std::uint64_t>(
+      std::count_if(Prog.Iteration.begin(), Prog.Iteration.end(),
+                    [](const Step &S) { return S.Kind == StepKind::Kernel; }));
   return std::move(Prog);
 }

@@ -5,9 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// ScheduleBuilder turns model definitions into lowered Programs. Model
-/// zoo code calls NN-level helpers (conv2d, linear, attention blocks are
-/// composed in Models.cpp from these primitives); the builder
+/// ScheduleBuilder turns model definitions into lowered Programs: the
+/// persistent tensors, one iteration lowered once, and the count the
+/// Executor replays it (see Schedule.h). Model zoo code calls NN-level
+/// helpers (conv2d, linear, attention blocks are composed in Models.cpp
+/// from these primitives) between one beginIteration/endIteration pair;
+/// the builder
 ///
 ///  * decomposes each primitive into backend-flavoured kernels (cuDNN-like
 ///    fusion vs MIOpen-like decomposition — the divergence paper Fig. 14
@@ -54,13 +57,14 @@ public:
   struct Options {
     KernelFlavor Flavor = KernelFlavor::Cudnn;
     bool Training = false;
+    /// How many times the Executor replays the one lowered iteration.
     int Iterations = 1;
   };
 
   ScheduleBuilder(std::string ModelName, Options Opts);
 
   //===--------------------------------------------------------------------===
-  // Declarations (before the first iteration)
+  // Declarations (before the iteration)
   //===--------------------------------------------------------------------===
 
   /// Declares a persistent parameter tensor (allocated up front).
@@ -68,7 +72,7 @@ public:
                    DataType Type = DataType::F32);
 
   //===--------------------------------------------------------------------===
-  // Iteration control
+  // Iteration control: a Program has exactly one lowered iteration.
   //===--------------------------------------------------------------------===
 
   void beginIteration();
@@ -76,7 +80,7 @@ public:
   SymTensor input(const std::string &Name, TensorShape Shape,
                   DataType Type = DataType::F32);
   /// Closes the iteration: emits backward + optimizer when training, then
-  /// frees every remaining iteration-scoped tensor.
+  /// frees every remaining iteration-scoped tensor, and lowers it.
   void endIteration();
 
   //===--------------------------------------------------------------------===
@@ -157,7 +161,8 @@ private:
   };
 
   SymTensor declare(const std::string &Name, TensorShape Shape,
-                    DataType Type, TensorRole Role);
+                    DataType Type, TensorRole Role,
+                    std::size_t IterPos = std::string::npos);
 
   /// Appends a forward OpIR (and remembers it for backward synthesis).
   SymTensor pushOp(OpIR Op);
@@ -176,13 +181,13 @@ private:
                                    std::vector<SymTensor> Writes,
                                    double FlopsPerElt = 1.0);
 
-  /// Synthesizes backward OpIRs for the recorded forward ops of this
+  /// Synthesizes backward OpIRs for the recorded forward ops of the
   /// iteration, then the optimizer step; appends them to Ops.
   void synthesizeBackward();
   void synthesizeOptimizer();
 
-  /// Lowers this iteration's OpIR list into Program steps with lifetime
-  /// analysis.
+  /// Lowers the iteration's OpIR list into Program::Iteration with
+  /// lifetime analysis.
   void lowerIteration();
 
   std::vector<std::string> pythonStackFor(const OpIR &Op) const;
@@ -200,7 +205,7 @@ private:
   std::string ModelName;
   Options Opts;
   Program Prog;
-  /// Ops of the current iteration (forward + synthesized backward/opt).
+  /// Ops of the iteration (forward + synthesized backward/opt).
   std::vector<OpIR> Ops;
   /// Index of the forward-op subrange of Ops (before backward synthesis).
   std::size_t NumForwardOps = 0;
@@ -213,7 +218,8 @@ private:
   std::unordered_map<SymTensor, SymTensor> Aliases;
   std::string CurrentLayer;
   bool InIteration = false;
-  int IterationIndex = 0;
+  /// The one iteration has been lowered.
+  bool Lowered = false;
 };
 
 } // namespace dl

@@ -20,17 +20,6 @@ Executor::Executor(DeviceApi &Api, CallbackRegistry &Callbacks,
     : Api(Api), Callbacks(Callbacks), Opts(Opts),
       Allocator(Api, Opts.Managed) {}
 
-const TensorInfo &Executor::tensorInfo(SymTensor T) const {
-  assert(T < Tensors.size() && "tensor id out of range");
-  return Tensors[T];
-}
-
-std::pair<sim::DeviceAddr, std::uint64_t>
-Executor::resolve(SymTensor T) const {
-  const TensorInfo &Info = tensorInfo(T);
-  return {Info.Address, Info.bytes()};
-}
-
 void Executor::execAlloc(const Program &Prog, SymTensor T) {
   TensorInfo &Info = Tensors[T];
   if (Info.Address != 0)
@@ -42,7 +31,7 @@ void Executor::execAlloc(const Program &Prog, SymTensor T) {
   if (Addr == 0)
     reportFatalError(format("device out of memory allocating tensor %s "
                             "(%llu bytes)",
-                            Prog.Tensors[T].Name.c_str(),
+                            Info.Name.c_str(),
                             static_cast<unsigned long long>(
                                 Prog.Tensors[T].bytes())));
   Info.Address = Addr;
@@ -74,9 +63,7 @@ void Executor::execFree(SymTensor T) {
   Callbacks.reportMemoryUsage(Report);
 }
 
-void Executor::execKernel(const Program &Prog, const Step &S,
-                          RunStats &Stats) {
-  (void)Prog;
+void Executor::execKernel(const Step &S, const Step &Seen, RunStats &Stats) {
   sim::KernelDesc Desc;
   Desc.Name = S.Kernel.Name;
   std::uint64_t Threads = std::max<std::uint64_t>(S.Kernel.Threads, 32);
@@ -88,7 +75,9 @@ void Executor::execKernel(const Program &Prog, const Step &S,
   Desc.StaticInstrs = S.Kernel.StaticInstrs;
 
   for (const KernelUse &Use : S.Kernel.Uses) {
-    auto [Addr, Bytes] = resolve(Use.Tensor);
+    const TensorInfo &Info = Tensors[Use.Tensor];
+    sim::DeviceAddr Addr = Info.Address;
+    std::uint64_t Bytes = Info.bytes();
     assert(Addr != 0 && "kernel operand not allocated");
     sim::AccessSegment Seg;
     Seg.Base = Addr;
@@ -101,7 +90,7 @@ void Executor::execKernel(const Program &Prog, const Step &S,
   }
 
   if (Hook)
-    Hook(Desc, S, *this);
+    Hook(Desc, Seen, *this);
 
   sim::LaunchResult Result;
   Api.launchKernel(Desc, &Result);
@@ -124,26 +113,45 @@ void Executor::fireRecordFunction(const Step &S, bool IsBegin) {
   Callbacks.recordFunction(Data);
 }
 
-RunStats Executor::run(const Program &Prog) {
-  RunStats Stats;
-  Stats.StartTime = Api.device().clock().now();
+const Step &Executor::observed(const Program &Prog, const Step &S) {
+  if (Shift == 0)
+    return S;
+  bool Touches = Prog.isIterationTensor(S.Tensor);
+  for (const KernelUse &Use : S.Kernel.Uses)
+    Touches |= Prog.isIterationTensor(Use.Tensor);
+  if (!Touches)
+    return S;
+  auto Rebase = [&](SymTensor &T) {
+    if (Prog.isIterationTensor(T))
+      T = static_cast<SymTensor>(T + Shift);
+  };
+  Shifted = S;
+  Rebase(Shifted.Tensor);
+  for (KernelUse &Use : Shifted.Kernel.Uses)
+    Rebase(Use.Tensor);
+  return Shifted;
+}
 
-  // Fresh tensor table mirroring the program declarations.
-  Tensors.clear();
-  Tensors.resize(Prog.Tensors.size());
-  for (std::size_t I = 0; I < Prog.Tensors.size(); ++I) {
-    TensorInfo &Info = Tensors[I];
-    Info.Id = I;
-    Info.Name = Prog.Tensors[I].Name;
-    Info.Shape = Prog.Tensors[I].Shape;
-    Info.Type = Prog.Tensors[I].Type;
-    Info.Role = Prog.Tensors[I].Role;
-    Info.DeviceIndex = Api.deviceIndex();
+void Executor::beginIteration(const Program &Prog, int Iter) {
+  Shift = Prog.iterationShift(Iter);
+  for (std::uint32_t I = 0; I < Prog.IterTensors; ++I) {
+    SymTensor T = Prog.IterFirst + I;
+    TensorInfo &Info = Tensors[T];
+    assert(Info.Address == 0 && "tensor outlived its iteration");
+    Info.Id = T + Shift;
+    if (Prog.Tensors[T].IterPos != std::string::npos)
+      Info.Name = Prog.Tensors[T].nameAt(Iter);
   }
+}
 
-  for (const Step &S : Prog.Steps) {
+void Executor::runSteps(const Program &Prog, const std::vector<Step> &Steps,
+                        RunStats &Stats) {
+  for (const Step &S : Steps) {
+    // What listeners and hooks see; execution itself works on the
+    // iteration-0 ids that index Tensors.
+    const Step &Seen = Listener || Hook ? observed(Prog, S) : S;
     if (Listener)
-      Listener(S);
+      Listener(Seen);
     switch (S.Kind) {
     case StepKind::Alloc:
       execAlloc(Prog, S.Tensor);
@@ -152,7 +160,7 @@ RunStats Executor::run(const Program &Prog) {
       execFree(S.Tensor);
       break;
     case StepKind::Kernel:
-      execKernel(Prog, S, Stats);
+      execKernel(S, Seen, Stats);
       break;
     case StepKind::OpBegin:
       fireRecordFunction(S, /*IsBegin=*/true);
@@ -175,6 +183,33 @@ RunStats Executor::run(const Program &Prog) {
       break; // markers are for listeners only
     }
   }
+}
+
+RunStats Executor::run(const Program &Prog) {
+  RunStats Stats;
+  Stats.StartTime = Api.device().clock().now();
+
+  // Fresh tensor table mirroring the program declarations.
+  Tensors.clear();
+  Tensors.resize(Prog.Tensors.size());
+  for (std::size_t I = 0; I < Prog.Tensors.size(); ++I) {
+    TensorInfo &Info = Tensors[I];
+    Info.Id = I;
+    Info.Name = Prog.Tensors[I].Name;
+    Info.Shape = Prog.Tensors[I].Shape;
+    Info.Type = Prog.Tensors[I].Type;
+    Info.Role = Prog.Tensors[I].Role;
+    Info.DeviceIndex = Api.deviceIndex();
+  }
+
+  Shift = 0;
+  runSteps(Prog, Prog.Head, Stats);
+  for (int Iter = 0; Iter < Prog.Iterations; ++Iter) {
+    beginIteration(Prog, Iter);
+    runSteps(Prog, Prog.Iteration, Stats);
+  }
+  Shift = 0;
+  runSteps(Prog, Prog.Tail, Stats);
 
   Api.synchronize();
   Stats.EndTime = Api.device().clock().now();

@@ -9,8 +9,13 @@
 /// allocates tensors through the CachingAllocator, launches kernels
 /// through the DeviceApi, and fires the framework callbacks
 /// (reportMemoryUsage / RecordFunction) that PASTA's event handler
-/// consumes. A pre-kernel hook lets UVM prefetchers (paper §V-C) inject
-/// prefetch calls with full knowledge of the upcoming kernel's tensors.
+/// consumes. It runs the Program's Head, its one lowered Iteration
+/// Iterations times and its Tail; at each iteration it gives the
+/// iteration's tensors that iteration's ids and names, so callbacks,
+/// listeners and hooks see the same stream a fully unrolled schedule
+/// would produce. A pre-kernel hook lets UVM prefetchers (paper §V-C)
+/// inject prefetch calls with full knowledge of the upcoming kernel's
+/// tensors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +61,8 @@ struct RunStats {
 class Executor {
 public:
   /// Called immediately before each kernel launch with the resolved
-  /// descriptor and the schedule step it came from.
+  /// descriptor and the schedule step it came from (tensor ids as in the
+  /// current iteration).
   using PreKernelHook =
       std::function<void(const sim::KernelDesc &, const Step &, Executor &)>;
   /// Observes every step (markers included) before it executes.
@@ -79,17 +85,17 @@ public:
   DeviceApi &api() { return Api; }
   CallbackRegistry &callbacks() { return Callbacks; }
 
-  /// Live tensor table of the current run (indexed by SymTensor). Address
-  /// is 0 for tensors not currently allocated.
-  const TensorInfo &tensorInfo(SymTensor T) const;
-
-  /// Resolves the current device address and size of \p Use's tensor.
-  std::pair<sim::DeviceAddr, std::uint64_t> resolve(SymTensor T) const;
-
 private:
+  void runSteps(const Program &Prog, const std::vector<Step> &Steps,
+                RunStats &Stats);
+  /// Gives the iteration tensors iteration \p Iter's ids and names.
+  void beginIteration(const Program &Prog, int Iter);
+  /// \p S as observers see it: iteration tensor ids shifted to the
+  /// current iteration's.
+  const Step &observed(const Program &Prog, const Step &S);
   void execAlloc(const Program &Prog, SymTensor T);
   void execFree(SymTensor T);
-  void execKernel(const Program &Prog, const Step &S, RunStats &Stats);
+  void execKernel(const Step &S, const Step &Seen, RunStats &Stats);
   void fireRecordFunction(const Step &S, bool IsBegin);
 
   DeviceApi &Api;
@@ -98,7 +104,12 @@ private:
   CachingAllocator Allocator;
   PreKernelHook Hook;
   StepListener Listener;
+  /// Live tensor table, indexed by iteration-0 SymTensor.
   std::vector<TensorInfo> Tensors;
+  /// iterationShift() of the iteration being replayed.
+  std::uint64_t Shift = 0;
+  /// Backing store of observed() for shifted steps.
+  Step Shifted;
 };
 
 } // namespace dl

@@ -164,44 +164,42 @@ Program buildRank(ParallelStrategy Strategy, const MegatronConfig &C,
       TensorShape({Strategy == ParallelStrategy::Data ? 64 * 1024 * 1024
                                                       : 16 * 1024 * 1024}));
 
-  for (int Iter = 0; Iter < C.Iterations; ++Iter) {
-    B.beginIteration();
-    SymTensor X;
-    if (HasEmbedding) {
-      SymTensor Ids = B.input("input_ids", TensorShape({C.MicroBatch, C.Seq}),
-                              DataType::I64);
-      B.beginLayer("embeddings");
-      SymTensor Tok = B.embedding("wte", Ids, Wte);
-      SymTensor Pos = B.embedding("wpe", Ids, Wpe);
-      X = B.add("embed_add", Tok, Pos);
-    } else {
-      // Pipeline boundary: activations arrive from the previous stage.
-      X = B.input("pp_recv_activation",
-                  TensorShape({C.MicroBatch, C.Seq, C.Hidden}));
-    }
-
-    for (std::int64_t L = 0; L < NumLayers; ++L)
-      X = transformerLayer(
-          B, format("h.%lld", (long long)(FirstLayer + L)), X, Layers[L], C,
-          Shard);
-
-    if (HasHead) {
-      B.beginLayer("lm_head");
-      X = B.layerNorm("ln_f", X, LnfScale, LnfBias);
-      SymTensor Logits = B.linear("lm_head", X, HeadW, NoTensor,
-                                  C.Vocab / Shard);
-      SymTensor Targets = B.input(
-          "labels", TensorShape({C.MicroBatch, C.Seq}), DataType::I64);
-      B.crossEntropyLoss("loss", Logits, Targets);
-    } else {
-      // Pipeline boundary: ship activations to the next stage. The send
-      // is modeled as a device-to-device style copy kernel over X.
-      B.beginLayer("pp_send");
-      B.permute("pp_send_activation", X,
+  B.beginIteration();
+  SymTensor X;
+  if (HasEmbedding) {
+    SymTensor Ids = B.input("input_ids", TensorShape({C.MicroBatch, C.Seq}),
+                            DataType::I64);
+    B.beginLayer("embeddings");
+    SymTensor Tok = B.embedding("wte", Ids, Wte);
+    SymTensor Pos = B.embedding("wpe", Ids, Wpe);
+    X = B.add("embed_add", Tok, Pos);
+  } else {
+    // Pipeline boundary: activations arrive from the previous stage.
+    X = B.input("pp_recv_activation",
                 TensorShape({C.MicroBatch, C.Seq, C.Hidden}));
-    }
-    B.endIteration();
   }
+
+  for (std::int64_t L = 0; L < NumLayers; ++L)
+    X = transformerLayer(
+        B, format("h.%lld", (long long)(FirstLayer + L)), X, Layers[L], C,
+        Shard);
+
+  if (HasHead) {
+    B.beginLayer("lm_head");
+    X = B.layerNorm("ln_f", X, LnfScale, LnfBias);
+    SymTensor Logits = B.linear("lm_head", X, HeadW, NoTensor,
+                                C.Vocab / Shard);
+    SymTensor Targets = B.input(
+        "labels", TensorShape({C.MicroBatch, C.Seq}), DataType::I64);
+    B.crossEntropyLoss("loss", Logits, Targets);
+  } else {
+    // Pipeline boundary: ship activations to the next stage. The send
+    // is modeled as a device-to-device style copy kernel over X.
+    B.beginLayer("pp_send");
+    B.permute("pp_send_activation", X,
+              TensorShape({C.MicroBatch, C.Seq, C.Hidden}));
+  }
+  B.endIteration();
   (void)CommBucket;
   return B.finish();
 }

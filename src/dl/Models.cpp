@@ -88,42 +88,40 @@ Program buildAlexNet(const ModelConfig &Config,
   LinearW F2 = declLinear(B, "classifier.4", 4096, 4096);
   LinearW F3 = declLinear(B, "classifier.6", 1000, 4096);
 
-  for (int Iter = 0; Iter < Opts.Iterations; ++Iter) {
-    B.beginIteration();
-    SymTensor X = B.input("images", TensorShape({Batch, 3, 224, 224}));
+  B.beginIteration();
+  SymTensor X = B.input("images", TensorShape({Batch, 3, 224, 224}));
 
-    B.beginLayer("features.0");
-    X = B.conv2d("features.0", X, C1.W, C1.B, 64, 11, 4, 2, true);
-    X = B.maxPool2d("features.2", X, 3, 2);
-    B.beginLayer("features.3");
-    X = B.conv2d("features.3", X, C2.W, C2.B, 192, 5, 1, 2, true);
-    X = B.maxPool2d("features.5", X, 3, 2);
-    B.beginLayer("features.6");
-    X = B.conv2d("features.6", X, C3.W, C3.B, 384, 3, 1, 1, true);
-    B.beginLayer("features.8");
-    X = B.conv2d("features.8", X, C4.W, C4.B, 256, 3, 1, 1, true);
-    B.beginLayer("features.10");
-    X = B.conv2d("features.10", X, C5.W, C5.B, 256, 3, 1, 1, true);
-    X = B.maxPool2d("features.12", X, 3, 2);
+  B.beginLayer("features.0");
+  X = B.conv2d("features.0", X, C1.W, C1.B, 64, 11, 4, 2, true);
+  X = B.maxPool2d("features.2", X, 3, 2);
+  B.beginLayer("features.3");
+  X = B.conv2d("features.3", X, C2.W, C2.B, 192, 5, 1, 2, true);
+  X = B.maxPool2d("features.5", X, 3, 2);
+  B.beginLayer("features.6");
+  X = B.conv2d("features.6", X, C3.W, C3.B, 384, 3, 1, 1, true);
+  B.beginLayer("features.8");
+  X = B.conv2d("features.8", X, C4.W, C4.B, 256, 3, 1, 1, true);
+  B.beginLayer("features.10");
+  X = B.conv2d("features.10", X, C5.W, C5.B, 256, 3, 1, 1, true);
+  X = B.maxPool2d("features.12", X, 3, 2);
 
-    B.beginLayer("classifier");
-    X = B.reshape(X, TensorShape({Batch, 256 * 6 * 6}));
-    X = B.dropout("classifier.0", X, 0.5);
-    X = B.linear("classifier.1", X, F1.W, F1.B, 4096);
-    X = B.relu("classifier.2", X);
-    X = B.dropout("classifier.3", X, 0.5);
-    X = B.linear("classifier.4", X, F2.W, F2.B, 4096);
-    X = B.relu("classifier.5", X);
-    SymTensor Logits = B.linear("classifier.6", X, F3.W, F3.B, 1000);
-    B.endLayer();
+  B.beginLayer("classifier");
+  X = B.reshape(X, TensorShape({Batch, 256 * 6 * 6}));
+  X = B.dropout("classifier.0", X, 0.5);
+  X = B.linear("classifier.1", X, F1.W, F1.B, 4096);
+  X = B.relu("classifier.2", X);
+  X = B.dropout("classifier.3", X, 0.5);
+  X = B.linear("classifier.4", X, F2.W, F2.B, 4096);
+  X = B.relu("classifier.5", X);
+  SymTensor Logits = B.linear("classifier.6", X, F3.W, F3.B, 1000);
+  B.endLayer();
 
-    if (Opts.Training) {
-      SymTensor Targets =
-          B.input("targets", TensorShape({Batch}), DataType::I64);
-      B.crossEntropyLoss("loss", Logits, Targets);
-    }
-    B.endIteration();
+  if (Opts.Training) {
+    SymTensor Targets =
+        B.input("targets", TensorShape({Batch}), DataType::I64);
+    B.crossEntropyLoss("loss", Logits, Targets);
   }
+  B.endIteration();
   return B.finish();
 }
 
@@ -187,40 +185,38 @@ Program buildResNet(const ModelConfig &Config, ScheduleBuilder::Options Opts,
   }
   LinearW Fc = declLinear(B, "fc", 1000, 512);
 
-  for (int Iter = 0; Iter < Opts.Iterations; ++Iter) {
-    B.beginIteration();
-    SymTensor X = B.input("images", TensorShape({Batch, 3, 224, 224}));
+  B.beginIteration();
+  SymTensor X = B.input("images", TensorShape({Batch, 3, 224, 224}));
 
-    B.beginLayer("stem");
-    X = B.conv2d("conv1", X, Stem.W, NoTensor, 64, 7, 2, 3, false);
-    X = B.batchNorm2d("bn1", X, Stem.BnScale, Stem.BnBias);
-    X = B.relu("relu", X);
-    X = B.maxPool2d("maxpool", X, 3, 2);
+  B.beginLayer("stem");
+  X = B.conv2d("conv1", X, Stem.W, NoTensor, 64, 7, 2, 3, false);
+  X = B.batchNorm2d("bn1", X, Stem.BnScale, Stem.BnBias);
+  X = B.relu("relu", X);
+  X = B.maxPool2d("maxpool", X, 3, 2);
 
-    for (int Stage = 0; Stage < 4; ++Stage) {
-      for (std::size_t Blk = 0; Blk < Stages[Stage].size(); ++Blk) {
-        const BlockW &W = Stages[Stage][Blk];
-        std::string Name = format("layer%d.%zu", Stage + 1, Blk);
-        std::int64_t Stride = (Stage > 0 && Blk == 0) ? 2 : 1;
-        X = basicBlock(B, Name, X, W.Conv1, W.Conv2,
-                       W.HasDown ? &W.Down : nullptr,
-                       StageChannels[Stage], Stride);
-      }
+  for (int Stage = 0; Stage < 4; ++Stage) {
+    for (std::size_t Blk = 0; Blk < Stages[Stage].size(); ++Blk) {
+      const BlockW &W = Stages[Stage][Blk];
+      std::string Name = format("layer%d.%zu", Stage + 1, Blk);
+      std::int64_t Stride = (Stage > 0 && Blk == 0) ? 2 : 1;
+      X = basicBlock(B, Name, X, W.Conv1, W.Conv2,
+                     W.HasDown ? &W.Down : nullptr,
+                     StageChannels[Stage], Stride);
     }
-
-    B.beginLayer("head");
-    X = B.adaptiveAvgPool2d("avgpool", X, 1);
-    X = B.reshape(X, TensorShape({Batch, 512}));
-    SymTensor Logits = B.linear("fc", X, Fc.W, Fc.B, 1000);
-    B.endLayer();
-
-    if (Opts.Training) {
-      SymTensor Targets =
-          B.input("targets", TensorShape({Batch}), DataType::I64);
-      B.crossEntropyLoss("loss", Logits, Targets);
-    }
-    B.endIteration();
   }
+
+  B.beginLayer("head");
+  X = B.adaptiveAvgPool2d("avgpool", X, 1);
+  X = B.reshape(X, TensorShape({Batch, 512}));
+  SymTensor Logits = B.linear("fc", X, Fc.W, Fc.B, 1000);
+  B.endLayer();
+
+  if (Opts.Training) {
+    SymTensor Targets =
+        B.input("targets", TensorShape({Batch}), DataType::I64);
+    B.crossEntropyLoss("loss", Logits, Targets);
+  }
+  B.endIteration();
   return B.finish();
 }
 
@@ -348,34 +344,32 @@ Program buildGpt2(const ModelConfig &Config, ScheduleBuilder::Options Opts) {
   SymTensor LnfBias = B.weight("ln_f.bias", TensorShape({Hidden}));
   LinearW Head = declLinear(B, "lm_head", Vocab, Hidden);
 
-  for (int Iter = 0; Iter < Opts.Iterations; ++Iter) {
-    B.beginIteration();
-    SymTensor Ids =
-        B.input("input_ids", TensorShape({Batch, Seq}), DataType::I64);
-    B.beginLayer("embeddings");
-    SymTensor X = B.embedding("wte", Ids, Wte);
-    SymTensor Pos = B.embedding("wpe", Ids, Wpe);
-    X = B.add("embed_add", X, Pos);
+  B.beginIteration();
+  SymTensor Ids =
+      B.input("input_ids", TensorShape({Batch, Seq}), DataType::I64);
+  B.beginLayer("embeddings");
+  SymTensor X = B.embedding("wte", Ids, Wte);
+  SymTensor Pos = B.embedding("wpe", Ids, Wpe);
+  X = B.add("embed_add", X, Pos);
 
-    for (std::int64_t L = 0; L < Layers; ++L) {
-      X = attention(B, format("h.%lld.attn", (long long)L), X, Attn[L],
-                    Batch, Seq, Hidden, Heads);
-      X = ffn(B, format("h.%lld.mlp", (long long)L), X, Ffn[L], Hidden,
-              4 * Hidden);
-    }
-
-    B.beginLayer("lm_head");
-    X = B.layerNorm("ln_f", X, LnfScale, LnfBias);
-    SymTensor Logits = B.linear("lm_head", X, Head.W, NoTensor, Vocab);
-    B.endLayer();
-
-    if (Opts.Training) {
-      SymTensor Targets =
-          B.input("labels", TensorShape({Batch, Seq}), DataType::I64);
-      B.crossEntropyLoss("loss", Logits, Targets);
-    }
-    B.endIteration();
+  for (std::int64_t L = 0; L < Layers; ++L) {
+    X = attention(B, format("h.%lld.attn", (long long)L), X, Attn[L],
+                  Batch, Seq, Hidden, Heads);
+    X = ffn(B, format("h.%lld.mlp", (long long)L), X, Ffn[L], Hidden,
+            4 * Hidden);
   }
+
+  B.beginLayer("lm_head");
+  X = B.layerNorm("ln_f", X, LnfScale, LnfBias);
+  SymTensor Logits = B.linear("lm_head", X, Head.W, NoTensor, Vocab);
+  B.endLayer();
+
+  if (Opts.Training) {
+    SymTensor Targets =
+        B.input("labels", TensorShape({Batch, Seq}), DataType::I64);
+    B.crossEntropyLoss("loss", Logits, Targets);
+  }
+  B.endIteration();
   return B.finish();
 }
 
@@ -400,37 +394,35 @@ Program buildBert(const ModelConfig &Config, ScheduleBuilder::Options Opts) {
   LinearW Pooler = declLinear(B, "pooler", Hidden, Hidden);
   LinearW Classifier = declLinear(B, "classifier", 2, Hidden);
 
-  for (int Iter = 0; Iter < Opts.Iterations; ++Iter) {
-    B.beginIteration();
-    SymTensor Ids =
-        B.input("input_ids", TensorShape({Batch, Seq}), DataType::I64);
-    B.beginLayer("embeddings");
-    SymTensor X = B.embedding("word_embeddings", Ids, WordEmb);
-    SymTensor Pos = B.embedding("position_embeddings", Ids, PosEmb);
-    X = B.add("embed_add", X, Pos);
-    X = B.layerNorm("embeddings.ln", X, EmbLnScale, EmbLnBias);
+  B.beginIteration();
+  SymTensor Ids =
+      B.input("input_ids", TensorShape({Batch, Seq}), DataType::I64);
+  B.beginLayer("embeddings");
+  SymTensor X = B.embedding("word_embeddings", Ids, WordEmb);
+  SymTensor Pos = B.embedding("position_embeddings", Ids, PosEmb);
+  X = B.add("embed_add", X, Pos);
+  X = B.layerNorm("embeddings.ln", X, EmbLnScale, EmbLnBias);
 
-    for (std::int64_t L = 0; L < Layers; ++L) {
-      X = attention(B, format("encoder.%lld.attn", (long long)L), X,
-                    Attn[L], Batch, Seq, Hidden, Heads);
-      X = ffn(B, format("encoder.%lld.ffn", (long long)L), X, Ffn[L],
-              Hidden, 4 * Hidden);
-    }
-
-    B.beginLayer("head");
-    SymTensor Pooled = B.linear("pooler", X, Pooler.W, Pooler.B, Hidden);
-    Pooled = B.reshape(Pooled, TensorShape({Batch, Seq, Hidden}));
-    SymTensor Logits =
-        B.linear("classifier", Pooled, Classifier.W, Classifier.B, 2);
-    B.endLayer();
-
-    if (Opts.Training) {
-      SymTensor Targets = B.input("labels", TensorShape({Batch, Seq}),
-                                  DataType::I64);
-      B.crossEntropyLoss("loss", Logits, Targets);
-    }
-    B.endIteration();
+  for (std::int64_t L = 0; L < Layers; ++L) {
+    X = attention(B, format("encoder.%lld.attn", (long long)L), X,
+                  Attn[L], Batch, Seq, Hidden, Heads);
+    X = ffn(B, format("encoder.%lld.ffn", (long long)L), X, Ffn[L],
+            Hidden, 4 * Hidden);
   }
+
+  B.beginLayer("head");
+  SymTensor Pooled = B.linear("pooler", X, Pooler.W, Pooler.B, Hidden);
+  Pooled = B.reshape(Pooled, TensorShape({Batch, Seq, Hidden}));
+  SymTensor Logits =
+      B.linear("classifier", Pooled, Classifier.W, Classifier.B, 2);
+  B.endLayer();
+
+  if (Opts.Training) {
+    SymTensor Targets = B.input("labels", TensorShape({Batch, Seq}),
+                                DataType::I64);
+    B.crossEntropyLoss("loss", Logits, Targets);
+  }
+  B.endIteration();
   return B.finish();
 }
 
@@ -469,62 +461,60 @@ Program buildWhisper(const ModelConfig &Config,
   }
   LinearW Head = declLinear(B, "proj_out", Vocab, Hidden);
 
-  for (int Iter = 0; Iter < Opts.Iterations; ++Iter) {
-    B.beginIteration();
-    // Mel frames arrive pre-patched into stem GEMM inputs.
-    SymTensor Mel = B.input("mel", TensorShape({Batch, EncSeq, MelBins * 3}));
-    B.beginLayer("encoder.stem");
-    SymTensor Enc = B.linear("encoder.conv1", Mel, Stem1.W, Stem1.B, Hidden);
-    Enc = B.gelu("encoder.conv1.gelu", Enc);
-    SymTensor EncPatch =
-        B.reshape(Enc, TensorShape({Batch, EncSeq / 3, Hidden * 3}));
-    Enc = B.linear("encoder.conv2", EncPatch, Stem2.W, Stem2.B, Hidden);
-    Enc = B.gelu("encoder.conv2.gelu", Enc);
-    // conv2 has stride 2 in the real model; keep EncSeq for simplicity of
-    // shape bookkeeping (documented substitution).
-    Enc = B.reshape(Enc, TensorShape({Batch, EncSeq / 3, Hidden}));
-    std::int64_t ESeq = EncSeq / 3;
-    SymTensor PosIds =
-        B.input("enc_pos_ids", TensorShape({Batch, ESeq}), DataType::I64);
-    SymTensor Pos = B.embedding("encoder.pos", PosIds, EncPos);
-    Enc = B.add("encoder.pos_add", Enc, Pos);
+  B.beginIteration();
+  // Mel frames arrive pre-patched into stem GEMM inputs.
+  SymTensor Mel = B.input("mel", TensorShape({Batch, EncSeq, MelBins * 3}));
+  B.beginLayer("encoder.stem");
+  SymTensor Enc = B.linear("encoder.conv1", Mel, Stem1.W, Stem1.B, Hidden);
+  Enc = B.gelu("encoder.conv1.gelu", Enc);
+  SymTensor EncPatch =
+      B.reshape(Enc, TensorShape({Batch, EncSeq / 3, Hidden * 3}));
+  Enc = B.linear("encoder.conv2", EncPatch, Stem2.W, Stem2.B, Hidden);
+  Enc = B.gelu("encoder.conv2.gelu", Enc);
+  // conv2 has stride 2 in the real model; keep EncSeq for simplicity of
+  // shape bookkeeping (documented substitution).
+  Enc = B.reshape(Enc, TensorShape({Batch, EncSeq / 3, Hidden}));
+  std::int64_t ESeq = EncSeq / 3;
+  SymTensor PosIds =
+      B.input("enc_pos_ids", TensorShape({Batch, ESeq}), DataType::I64);
+  SymTensor Pos = B.embedding("encoder.pos", PosIds, EncPos);
+  Enc = B.add("encoder.pos_add", Enc, Pos);
 
-    for (std::int64_t L = 0; L < Layers; ++L) {
-      Enc = attention(B, format("encoder.%lld.attn", (long long)L), Enc,
-                      EncAttn[L], Batch, ESeq, Hidden, Heads);
-      Enc = ffn(B, format("encoder.%lld.ffn", (long long)L), Enc, EncFfn[L],
-                Hidden, 4 * Hidden);
-    }
-
-    B.beginLayer("decoder.embed");
-    SymTensor Tokens =
-        B.input("tokens", TensorShape({Batch, DecSeq}), DataType::I64);
-    SymTensor Dec = B.embedding("decoder.embed", Tokens, DecEmb);
-    SymTensor DPosIds =
-        B.input("dec_pos_ids", TensorShape({Batch, DecSeq}), DataType::I64);
-    SymTensor DPos = B.embedding("decoder.pos", DPosIds, DecPos);
-    Dec = B.add("decoder.pos_add", Dec, DPos);
-
-    for (std::int64_t L = 0; L < Layers; ++L) {
-      Dec = attention(B, format("decoder.%lld.self", (long long)L), Dec,
-                      DecSelf[L], Batch, DecSeq, Hidden, Heads);
-      Dec = attention(B, format("decoder.%lld.cross", (long long)L), Dec,
-                      DecCross[L], Batch, DecSeq, Hidden, Heads, Enc, ESeq);
-      Dec = ffn(B, format("decoder.%lld.ffn", (long long)L), Dec, DecFfn[L],
-                Hidden, 4 * Hidden);
-    }
-
-    B.beginLayer("proj_out");
-    SymTensor Logits = B.linear("proj_out", Dec, Head.W, NoTensor, Vocab);
-    B.endLayer();
-
-    if (Opts.Training) {
-      SymTensor Targets = B.input("labels", TensorShape({Batch, DecSeq}),
-                                  DataType::I64);
-      B.crossEntropyLoss("loss", Logits, Targets);
-    }
-    B.endIteration();
+  for (std::int64_t L = 0; L < Layers; ++L) {
+    Enc = attention(B, format("encoder.%lld.attn", (long long)L), Enc,
+                    EncAttn[L], Batch, ESeq, Hidden, Heads);
+    Enc = ffn(B, format("encoder.%lld.ffn", (long long)L), Enc, EncFfn[L],
+              Hidden, 4 * Hidden);
   }
+
+  B.beginLayer("decoder.embed");
+  SymTensor Tokens =
+      B.input("tokens", TensorShape({Batch, DecSeq}), DataType::I64);
+  SymTensor Dec = B.embedding("decoder.embed", Tokens, DecEmb);
+  SymTensor DPosIds =
+      B.input("dec_pos_ids", TensorShape({Batch, DecSeq}), DataType::I64);
+  SymTensor DPos = B.embedding("decoder.pos", DPosIds, DecPos);
+  Dec = B.add("decoder.pos_add", Dec, DPos);
+
+  for (std::int64_t L = 0; L < Layers; ++L) {
+    Dec = attention(B, format("decoder.%lld.self", (long long)L), Dec,
+                    DecSelf[L], Batch, DecSeq, Hidden, Heads);
+    Dec = attention(B, format("decoder.%lld.cross", (long long)L), Dec,
+                    DecCross[L], Batch, DecSeq, Hidden, Heads, Enc, ESeq);
+    Dec = ffn(B, format("decoder.%lld.ffn", (long long)L), Dec, DecFfn[L],
+              Hidden, 4 * Hidden);
+  }
+
+  B.beginLayer("proj_out");
+  SymTensor Logits = B.linear("proj_out", Dec, Head.W, NoTensor, Vocab);
+  B.endLayer();
+
+  if (Opts.Training) {
+    SymTensor Targets = B.input("labels", TensorShape({Batch, DecSeq}),
+                                DataType::I64);
+    B.crossEntropyLoss("loss", Logits, Targets);
+  }
+  B.endIteration();
   return B.finish();
 }
 

@@ -5,11 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A Program is the fully lowered, linear schedule of one workload run:
-/// tensor allocations/frees with exact lifetimes, operator boundaries and
-/// kernel launches with per-tensor access descriptions. Model builders
-/// produce Programs; the Executor replays them against a DeviceApi +
-/// CachingAllocator, which is where all runtime events spring from.
+/// A Program is the lowered schedule of one workload run: tensor
+/// allocations/frees with exact lifetimes, operator boundaries and kernel
+/// launches with per-tensor access descriptions. Every training or
+/// inference iteration of a model is step-for-step the same, so a Program
+/// holds one lowered iteration and a replay count rather than N copies:
+///
+///   Head        weight allocations + staging, optimizer-state allocations
+///   Iteration   IterBegin .. IterEnd, lowered once, replayed Iterations times
+///   Tail        frees of the persistent tensors
+///
+/// Iteration k differs from iteration 0 only in its tensor identities:
+/// its ids are shifted by iterationShift(k), and names that carry the
+/// iteration number (mini-batch inputs, "<name>.iter<k>") carry k. Model
+/// builders produce Programs; the Executor replays them against a
+/// DeviceApi + CachingAllocator, which is where all runtime events spring
+/// from.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,13 +44,25 @@ inline constexpr SymTensor NoTensor = ~0u;
 
 /// Compile-time tensor declaration.
 struct TensorDecl {
+  /// The name in iteration 0.
   std::string Name;
   TensorShape Shape;
   DataType Type = DataType::F32;
   TensorRole Role = TensorRole::Activation;
+  /// Offset of the iteration number ('0') in Name, or npos when the name
+  /// does not carry one.
+  std::size_t IterPos = std::string::npos;
 
   std::uint64_t bytes() const {
     return Shape.numel() * dataTypeBytes(Type);
+  }
+
+  /// The name this tensor carries in iteration \p Iter.
+  std::string nameAt(int Iter) const {
+    if (IterPos == std::string::npos)
+      return Name;
+    return Name.substr(0, IterPos) + std::to_string(Iter) +
+           Name.substr(IterPos + 1);
   }
 };
 
@@ -94,20 +117,41 @@ struct Step {
   std::vector<std::string> PythonStack;
 };
 
-/// A fully lowered workload.
+/// A lowered workload: Head, then Iteration replayed Iterations times,
+/// then Tail (see the file comment). Immutable once built; executors on
+/// different threads may replay one Program concurrently.
 struct Program {
   std::string ModelName;
   bool Training = false;
   int Iterations = 1;
+  /// Declarations with iteration-0 ids: the persistent tensors declared
+  /// before the iteration, the iteration's own tensors
+  /// [IterFirst, IterFirst + IterTensors), then the optimizer state the
+  /// first iteration declares.
   std::vector<TensorDecl> Tensors;
-  std::vector<Step> Steps;
+  std::vector<Step> Head;
+  std::vector<Step> Iteration;
+  std::vector<Step> Tail;
+  SymTensor IterFirst = 0;
+  std::uint32_t IterTensors = 0;
+  std::uint64_t KernelsPerIteration = 0;
 
   std::uint64_t numKernels() const {
-    std::uint64_t N = 0;
-    for (const Step &S : Steps)
-      if (S.Kind == StepKind::Kernel)
-        ++N;
-    return N;
+    return KernelsPerIteration * static_cast<std::uint64_t>(Iterations);
+  }
+
+  bool isIterationTensor(SymTensor T) const {
+    return T >= IterFirst && T - IterFirst < IterTensors;
+  }
+
+  /// Id offset of iteration \p Iter's tensors. Ids are contiguous per
+  /// iteration; the optimizer state declared during iteration 0 sits
+  /// between iteration 0 and iteration 1.
+  std::uint64_t iterationShift(int Iter) const {
+    if (Iter == 0)
+      return 0;
+    std::uint64_t Persistent = Tensors.size() - (IterFirst + IterTensors);
+    return static_cast<std::uint64_t>(Iter) * IterTensors + Persistent;
   }
 };
 

@@ -17,24 +17,32 @@ using namespace pasta::dl;
 
 namespace {
 
-/// Structural validation every lowered Program must satisfy.
+/// Structural validation every lowered Program must satisfy, over the
+/// schedule the executor runs: Head, Iteration replayed Iterations times,
+/// then Tail, all in the iteration-0 ids the executor indexes them by.
 void validateProgram(const Program &Prog) {
   std::vector<int> Live(Prog.Tensors.size(), 0);
   int OpenOps = 0, OpenIters = 0;
-  for (std::size_t I = 0; I < Prog.Steps.size(); ++I) {
-    const Step &S = Prog.Steps[I];
+  std::size_t I = 0;
+  auto Visit = [&](const Step &S, bool InIteration) {
     switch (S.Kind) {
     case StepKind::Alloc:
       ASSERT_LT(S.Tensor, Prog.Tensors.size());
       EXPECT_EQ(Live[S.Tensor], 0) << "double alloc at step " << I << ": "
                                    << Prog.Tensors[S.Tensor].Name;
+      // The executor renumbers exactly the iteration range per replay.
+      EXPECT_EQ(Prog.isIterationTensor(S.Tensor), InIteration)
+          << Prog.Tensors[S.Tensor].Name;
       ++Live[S.Tensor];
       break;
     case StepKind::Free:
       EXPECT_EQ(Live[S.Tensor], 1) << "free of dead tensor at step " << I;
+      EXPECT_EQ(Prog.isIterationTensor(S.Tensor), InIteration)
+          << Prog.Tensors[S.Tensor].Name;
       --Live[S.Tensor];
       break;
     case StepKind::Kernel:
+      EXPECT_TRUE(InIteration) << "numKernels() counts iteration kernels";
       EXPECT_FALSE(S.Kernel.Name.empty());
       EXPECT_FALSE(S.Kernel.Uses.empty());
       for (const KernelUse &Use : S.Kernel.Uses) {
@@ -61,7 +69,17 @@ void validateProgram(const Program &Prog) {
     default:
       break;
     }
-  }
+  };
+  auto Walk = [&](const std::vector<Step> &Steps, bool InIteration) {
+    for (const Step &S : Steps) {
+      Visit(S, InIteration);
+      ++I;
+    }
+  };
+  Walk(Prog.Head, false);
+  for (int Iter = 0; Iter < Prog.Iterations; ++Iter)
+    Walk(Prog.Iteration, true);
+  Walk(Prog.Tail, false);
   EXPECT_EQ(OpenOps, 0) << "unbalanced op markers";
   EXPECT_EQ(OpenIters, 0) << "unbalanced iteration markers";
   for (std::size_t T = 0; T < Prog.Tensors.size(); ++T)
@@ -80,7 +98,7 @@ TEST(BuilderTest, LinearProducesGemm) {
   B.endIteration();
   Program Prog = B.finish();
   bool SawGemm = false;
-  for (const Step &S : Prog.Steps)
+  for (const Step &S : Prog.Iteration)
     if (S.Kind == StepKind::Kernel &&
         S.Kernel.Name.find("sgemm") != std::string::npos)
       SawGemm = true;
@@ -114,7 +132,7 @@ TEST(BuilderTest, Conv3x3Stride1UsesWinogradOnCudnn) {
   B.endIteration();
   Program Prog = B.finish();
   bool SawWinograd = false, SawIm2col = false;
-  for (const Step &S : Prog.Steps) {
+  for (const Step &S : Prog.Iteration) {
     if (S.Kind != StepKind::Kernel)
       continue;
     SawWinograd |= S.Kernel.Name.find("winograd") != std::string::npos;
@@ -133,7 +151,7 @@ TEST(BuilderTest, LargeKernelConvUsesIm2col) {
   B.endIteration();
   Program Prog = B.finish();
   bool SawIm2col = false;
-  for (const Step &S : Prog.Steps)
+  for (const Step &S : Prog.Iteration)
     if (S.Kind == StepKind::Kernel &&
         S.Kernel.Name.find("im2col") != std::string::npos)
       SawIm2col = true;
@@ -164,8 +182,8 @@ TEST(BuilderTest, WorkspaceFreedAfterConsumingGemm) {
   // The im2col workspace must be freed before the iteration end (right
   // after the GEMM consumed it).
   std::size_t FreeIdx = 0, IterEndIdx = 0;
-  for (std::size_t I = 0; I < Prog.Steps.size(); ++I) {
-    const Step &S = Prog.Steps[I];
+  for (std::size_t I = 0; I < Prog.Iteration.size(); ++I) {
+    const Step &S = Prog.Iteration[I];
     if (S.Kind == StepKind::Free &&
         Prog.Tensors[S.Tensor].Role == TensorRole::Workspace)
       FreeIdx = I;
@@ -200,7 +218,7 @@ TEST(BuilderTest, TrainingEmitsBackwardAndOptimizer) {
   Program Prog = B.finish();
   validateProgram(Prog);
   bool SawBackwardPhase = false, SawOptimizer = false;
-  for (const Step &S : Prog.Steps) {
+  for (const Step &S : Prog.Iteration) {
     if (S.Kind == StepKind::PhaseBegin &&
         S.Phase == ExecPhase::Backward)
       SawBackwardPhase = true;
@@ -231,7 +249,7 @@ TEST(BuilderTest, ResidualFanOutAccumulatesGradients) {
   // backward phase.
   int BackwardAdds = 0;
   bool InBackward = false;
-  for (const Step &S : Prog.Steps) {
+  for (const Step &S : Prog.Iteration) {
     if (S.Kind == StepKind::PhaseBegin)
       InBackward = S.Phase == ExecPhase::Backward;
     if (InBackward && S.Kind == StepKind::Kernel &&
@@ -251,10 +269,12 @@ TEST(BuilderTest, ReshapeIsAllocationFree) {
   B.endIteration();
   Program Prog = B.finish();
   // The view tensor must never be allocated.
-  for (const Step &S : Prog.Steps)
-    if (S.Kind == StepKind::Alloc) {
-      EXPECT_NE(S.Tensor, V);
-    }
+  for (const std::vector<Step> *Steps :
+       {&Prog.Head, &Prog.Iteration, &Prog.Tail})
+    for (const Step &S : *Steps)
+      if (S.Kind == StepKind::Alloc) {
+        EXPECT_NE(S.Tensor, V);
+      }
 }
 
 //===----------------------------------------------------------------------===//
@@ -277,7 +297,8 @@ class ModelZooSweep : public ::testing::TestWithParam<ZooCase> {};
 TEST_P(ModelZooSweep, ProgramsAreStructurallyValid) {
   ScheduleBuilder::Options Opts;
   Opts.Training = GetParam().Training;
-  Opts.Iterations = 1;
+  // Two replays: the iteration must leave no tensor alive behind it.
+  Opts.Iterations = 2;
   Program Prog = dl::buildModelProgram(GetParam().Name, Opts);
   validateProgram(Prog);
   EXPECT_GT(Prog.numKernels(), 10u);

@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 using namespace pasta;
 using namespace pasta::dl;
 
@@ -204,7 +208,7 @@ TEST(MegatronTest, TensorParallelEmitsAllReduce) {
   MegatronConfig Config;
   auto Tp = buildMegatronGpt2(ParallelStrategy::Tensor, Config);
   int AllReduceLayers = 0;
-  for (const Step &S : Tp[0].Steps)
+  for (const Step &S : Tp[0].Iteration)
     if (S.Kind == StepKind::LayerBegin &&
         S.Name.find("allreduce") != std::string::npos)
       ++AllReduceLayers;
@@ -215,4 +219,140 @@ TEST(MegatronTest, StrategyNames) {
   EXPECT_STREQ(parallelStrategyName(ParallelStrategy::Data), "DP");
   EXPECT_STREQ(parallelStrategyName(ParallelStrategy::Tensor), "TP");
   EXPECT_STREQ(parallelStrategyName(ParallelStrategy::Pipeline), "PP");
+}
+
+//===----------------------------------------------------------------------===//
+// Iteration replay (one lowered iteration, Program::Iterations runs)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Everything a run emits, in order: listener steps, hook steps, memory
+/// reports and operator callbacks, one line each.
+std::vector<std::string> runTranscript(const Program &Prog) {
+  sim::System System(sim::a100Spec());
+  cuda::CudaRuntime Runtime(System);
+  CudaDeviceApi Api(Runtime, 0);
+  CallbackRegistry Callbacks;
+  std::vector<std::string> Lines;
+  Callbacks.addMemoryUsageCallback([&](const MemoryUsageReport &R) {
+    Lines.push_back("mem " + std::to_string(R.Tensor->Id) + " " +
+                    R.Tensor->Name + " " + std::to_string(R.SizeDelta) +
+                    " @" + std::to_string(R.Tensor->Address) + " t" +
+                    std::to_string(R.Timestamp));
+  });
+  Callbacks.addRecordFunctionCallback([&](const RecordFunctionData &D) {
+    Lines.push_back("op " + D.OpName + " " + D.LayerName + " " +
+                    std::to_string(D.IsBegin) + " t" +
+                    std::to_string(D.Timestamp));
+  });
+  Executor Exec(Api, Callbacks);
+  auto StepLine = [](const char *Tag, const Step &S) {
+    std::string Line = std::string(Tag) + std::to_string(int(S.Kind)) +
+                       " " + S.Name + " " + std::to_string(S.Tensor);
+    for (const KernelUse &Use : S.Kernel.Uses)
+      Line += " " + std::to_string(Use.Tensor);
+    return Line;
+  };
+  Exec.setStepListener(
+      [&](const Step &S) { Lines.push_back(StepLine("step ", S)); });
+  Exec.setPreKernelHook([&](const sim::KernelDesc &, const Step &S,
+                            Executor &) {
+    Lines.push_back(StepLine("hook ", S));
+  });
+  RunStats Stats = Exec.run(Prog);
+  Lines.push_back("kernels " + std::to_string(Stats.KernelsLaunched) +
+                  " end " + std::to_string(Stats.EndTime));
+  return Lines;
+}
+
+std::uint64_t kernelsLaunched(const Program &Prog) {
+  sim::System System(sim::a100Spec());
+  cuda::CudaRuntime Runtime(System);
+  CudaDeviceApi Api(Runtime, 0);
+  CallbackRegistry Callbacks;
+  Executor Exec(Api, Callbacks);
+  return Exec.run(Prog).KernelsLaunched;
+}
+
+} // namespace
+
+TEST(ProgramReplayTest, NumKernelsMatchesLaunchedKernels) {
+  for (const ModelConfig &Config : modelZoo())
+    for (bool Training : {false, true})
+      for (int Iterations : {1, 3}) {
+        ScheduleBuilder::Options Opts;
+        Opts.Training = Training;
+        Opts.Iterations = Iterations;
+        Program Prog = buildModelProgram(Config, Opts);
+        EXPECT_EQ(Prog.numKernels(), kernelsLaunched(Prog))
+            << Config.Name << (Training ? " train x" : " infer x")
+            << Iterations;
+      }
+  for (ParallelStrategy Strategy :
+       {ParallelStrategy::Data, ParallelStrategy::Tensor,
+        ParallelStrategy::Pipeline})
+    for (const Program &Prog : buildMegatronGpt2(Strategy, {}))
+      EXPECT_EQ(Prog.numKernels(), kernelsLaunched(Prog)) << Prog.ModelName;
+}
+
+TEST(ProgramReplayTest, ReplayedIterationsRenumberTensors) {
+  ScheduleBuilder::Options Opts;
+  Opts.Training = true;
+  Opts.Iterations = 3;
+  Program Prog = buildModelProgram("alexnet", Opts);
+  sim::System System(sim::a100Spec());
+  cuda::CudaRuntime Runtime(System);
+  CudaDeviceApi Api(Runtime, 0);
+  CallbackRegistry Callbacks;
+  // Allocation order within an iteration, per iteration.
+  std::vector<std::vector<std::pair<TensorId, std::string>>> Allocs(3);
+  int Iter = -1;
+  Callbacks.addMemoryUsageCallback([&](const MemoryUsageReport &R) {
+    if (R.SizeDelta > 0 && Iter >= 0)
+      Allocs[Iter].emplace_back(R.Tensor->Id, R.Tensor->Name);
+  });
+  Executor Exec(Api, Callbacks);
+  Exec.setStepListener([&](const Step &S) {
+    if (S.Kind == StepKind::IterBegin)
+      ++Iter;
+  });
+  Exec.run(Prog);
+  ASSERT_EQ(Iter, 2);
+  ASSERT_FALSE(Allocs[0].empty());
+  // Iteration 1 starts after iteration 0's tensors and the momentum
+  // buffers iteration 0 declared; each later iteration follows on.
+  std::uint64_t PerIter = Prog.IterTensors;
+  std::uint64_t Momentum = Prog.Tensors.size() - Prog.IterFirst - PerIter;
+  EXPECT_GT(Momentum, 0u);
+  for (int K = 1; K < 3; ++K) {
+    ASSERT_EQ(Allocs[K].size(), Allocs[0].size());
+    for (std::size_t I = 0; I < Allocs[0].size(); ++I) {
+      EXPECT_EQ(Allocs[K][I].first,
+                Allocs[0][I].first + K * PerIter + Momentum);
+      std::string Expected = Allocs[0][I].second;
+      std::size_t Pos = Expected.find(".iter0");
+      if (Pos != std::string::npos)
+        Expected.replace(Pos, 6, ".iter" + std::to_string(K));
+      EXPECT_EQ(Allocs[K][I].second, Expected);
+    }
+  }
+  EXPECT_EQ(Allocs[2].front().second, "images.iter2");
+}
+
+TEST(ProgramReplayTest, SharedProgramRunsConcurrently) {
+  // Two executors replay one const Program on two threads, as the fleet
+  // workload's client sessions do; each must see the sequential run.
+  ScheduleBuilder::Options Opts;
+  Opts.Training = true;
+  Opts.Iterations = 2;
+  const Program Prog = buildModelProgram("resnet18", Opts);
+  std::vector<std::string> Sequential = runTranscript(Prog);
+  std::vector<std::string> A, B;
+  std::thread TA([&] { A = runTranscript(Prog); });
+  std::thread TB([&] { B = runTranscript(Prog); });
+  TA.join();
+  TB.join();
+  EXPECT_TRUE(A == Sequential);
+  EXPECT_TRUE(B == Sequential);
 }

@@ -30,7 +30,7 @@ Program build(const char *Name, bool Training = false, int Iters = 1) {
 
 std::set<std::string> layerNames(const Program &Prog) {
   std::set<std::string> Names;
-  for (const Step &S : Prog.Steps)
+  for (const Step &S : Prog.Iteration)
     if (S.Kind == StepKind::LayerBegin)
       Names.insert(S.Name);
   return Names;
@@ -60,7 +60,7 @@ std::set<std::string> layerPrefixes(const Program &Prog, int Components) {
 std::uint64_t countKernelsMatching(const Program &Prog,
                                    const std::string &Needle) {
   std::uint64_t Count = 0;
-  for (const Step &S : Prog.Steps)
+  for (const Step &S : Prog.Iteration)
     if (S.Kind == StepKind::Kernel &&
         S.Kernel.Name.find(Needle) != std::string::npos)
       ++Count;
@@ -117,7 +117,7 @@ TEST(ModelStructureTest, ResNetDownsampleOnlyAtStageEntries) {
   // 3 downsample 1x1 convs (stages 2-4) -> 3 small GEMMs named per the
   // 1x1 path, each preceded by no im2col.
   std::uint64_t Downsamples = 0;
-  for (const Step &S : Prog.Steps)
+  for (const Step &S : Prog.Iteration)
     if (S.Kind == StepKind::LayerBegin &&
         S.Name.find(".0") != std::string::npos)
       ++Downsamples;
@@ -211,18 +211,16 @@ TEST(ModelStructureTest, KernelCountsNearTableV) {
 
 TEST(ModelStructureTest, WeightsStagedBeforeFirstIteration) {
   Program Prog = build("bert");
-  // Every weight Alloc must precede the first IterBegin.
-  std::size_t FirstIter = 0;
-  for (std::size_t I = 0; I < Prog.Steps.size(); ++I)
-    if (Prog.Steps[I].Kind == StepKind::IterBegin) {
-      FirstIter = I;
-      break;
-    }
-  for (std::size_t I = FirstIter; I < Prog.Steps.size(); ++I) {
-    const Step &S = Prog.Steps[I];
-    if (S.Kind == StepKind::Alloc) {
-      EXPECT_NE(Prog.Tensors[S.Tensor].Role, TensorRole::Weight)
-          << Prog.Tensors[S.Tensor].Name;
-    }
-  }
+  // Every weight Alloc must precede the first IterBegin: the Head holds
+  // no iteration marker, and no later step allocates a weight.
+  for (const Step &S : Prog.Head)
+    EXPECT_NE(S.Kind, StepKind::IterBegin);
+  ASSERT_FALSE(Prog.Iteration.empty());
+  EXPECT_EQ(Prog.Iteration.front().Kind, StepKind::IterBegin);
+  for (const std::vector<Step> *Steps : {&Prog.Iteration, &Prog.Tail})
+    for (const Step &S : *Steps)
+      if (S.Kind == StepKind::Alloc) {
+        EXPECT_NE(Prog.Tensors[S.Tensor].Role, TensorRole::Weight)
+            << Prog.Tensors[S.Tensor].Name;
+      }
 }
