@@ -14,9 +14,9 @@
 //               sink, i.e. a profiled run that also pays for
 //               serializing the trace to disk;
 //  * "replay" — the captured file is re-admitted (TraceReader decodes
-//               each record, payload tables re-interned into the
-//               processor's arena up front) through an identical
-//               processor + digest tool.
+//               each record, interning each payload definition into
+//               the processor's arena as it is read) through an
+//               identical processor + digest tool.
 //
 // Structural gates (exit code):
 //  * the Serial digests of the live and the replayed stream must be

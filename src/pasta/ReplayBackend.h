@@ -82,9 +82,9 @@ public:
 
   /// Pumps every trace event through \p Processor (on the calling
   /// thread; the processor applies its configured sync/async admission),
-  /// honoring the configured speed. Payload tables are re-interned into
-  /// the processor's arena first, so per-event admission is refcount
-  /// bumps. False when prepare() has not validated a trace.
+  /// honoring the configured speed. Each payload definition is interned
+  /// into the processor's arena as it is decoded, so per-event admission
+  /// is refcount bumps. False when prepare() has not validated a trace.
   bool replayInto(EventProcessor &Processor, ReplayStats &Stats,
                   SessionError &Err);
 

@@ -9,9 +9,11 @@
 #include "pasta/Events.h"
 #include "pasta/TraceFormat.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 using namespace pasta;
 using namespace pasta::trace;
@@ -99,6 +101,12 @@ bool parseEventBody(ByteReader &Cursor, RawEvent &Raw, std::string &Problem) {
       Problem = "truncated tensor descriptor";
       return false;
     }
+    // Each dimension is an i64 and the body is bounded by its record.
+    if (Rank > Cursor.remaining() / 8) {
+      Problem = "tensor rank " + std::to_string(Rank) +
+                " exceeds the remaining body bytes";
+      return false;
+    }
     std::vector<std::int64_t> Dims;
     Dims.reserve(Rank);
     for (std::uint32_t I = 0; I < Rank; ++I) {
@@ -146,11 +154,10 @@ bool parseEventBody(ByteReader &Cursor, RawEvent &Raw, std::string &Problem) {
 }
 
 //===----------------------------------------------------------------------===//
-// Record-body decoders shared by the whole-file scan and the
-// incremental stream decoder. Each returns "" on success, otherwise a
-// complete diagnostic naming \p RecordOffset — identical wording on
-// both paths, so a corrupt stream and the same bytes written to a file
-// produce the same message.
+// Record-body decoders. Each returns "" on success, otherwise a complete
+// diagnostic naming \p RecordOffset. Every count read from a body is
+// bounded by the bytes left in it before anything is reserved, so a
+// hostile count fails here instead of allocating for it.
 //===----------------------------------------------------------------------===//
 
 std::string decodeStringDef(const unsigned char *Body, std::uint32_t Length,
@@ -182,6 +189,11 @@ std::string decodeStackDef(const unsigned char *Body, std::uint32_t Length,
     return "non-sequential stack id " + std::to_string(Id) + " at offset " +
            std::to_string(RecordOffset) + ": expected " +
            std::to_string(NextId);
+  // Each frame is at least its u32 length prefix.
+  if (FrameCount > Cursor.remaining() / 4)
+    return "stack frame count " + std::to_string(FrameCount) +
+           " exceeds the body of the stack definition at offset " +
+           std::to_string(RecordOffset);
   Frames.reserve(FrameCount);
   for (std::uint32_t I = 0; I < FrameCount; ++I) {
     std::string Frame;
@@ -218,6 +230,12 @@ std::string decodeKernelDef(const unsigned char *Body, std::uint32_t Length,
             Cursor.readU32(Kernel.BarriersPerBlock) &&
             Cursor.readU64(Kernel.SharedMemPerBlock) &&
             Cursor.readU32(SegmentCount);
+  // Each segment is three u64 and two u8 fields.
+  constexpr std::size_t SegmentBytes = 26;
+  if (Ok && SegmentCount > Cursor.remaining() / SegmentBytes)
+    return "access segment count " + std::to_string(SegmentCount) +
+           " exceeds the body of the kernel definition at offset " +
+           std::to_string(RecordOffset);
   if (Ok) {
     Kernel.Segments.reserve(SegmentCount);
     for (std::uint32_t I = 0; Ok && I < SegmentCount; ++I) {
@@ -329,190 +347,76 @@ Event materializeEvent(
 /// size up front).
 constexpr std::uint32_t MaxStreamRecordBytes = 1u << 24;
 
+/// Checks the 16-byte header against the flags word the input must
+/// carry. Returns "" when it is acceptable.
+std::string headerProblem(const unsigned char *Head,
+                          std::uint32_t ExpectedFlags) {
+  if (std::memcmp(Head, Magic, sizeof(Magic)) != 0)
+    return "bad magic at offset 0: expected \"PASTATRC\"";
+  ByteReader Header(Head + sizeof(Magic), HeaderSize - sizeof(Magic));
+  std::uint32_t HeadVersion = 0;
+  std::uint32_t Flags = 0;
+  Header.readU32(HeadVersion);
+  Header.readU32(Flags);
+  if (HeadVersion != Version)
+    return "unsupported version " + std::to_string(HeadVersion) +
+           " at offset 8: expected version " + std::to_string(Version);
+  if ((Flags & ~KnownHeaderFlags) != 0)
+    return "unknown header flags " + hex32(Flags & ~KnownHeaderFlags) +
+           " at offset 12: this build knows " + hex32(KnownHeaderFlags);
+  if (Flags == ExpectedFlags)
+    return std::string();
+  if ((Flags & kFlagStreamed) != 0)
+    return "streamed header flags " + hex32(Flags) +
+           " at offset 12: this is a socket-stream dump, not a capture file "
+           "(feed it to accelprof --serve)";
+  return "capture-file header flags " + hex32(Flags) +
+         " at offset 12: this is a capture file, not a socket stream "
+         "(replay it with accelprof -b replay --trace)";
+}
+
+std::string filePrefix(const std::string &Path) {
+  return "trace file '" + Path + "'";
+}
+
 } // namespace
 
-bool TraceReader::fail(SessionError &Err, const std::string &Message) {
-  Err.assign("trace file '" + FilePath + "': " + Message);
-  Loaded = false;
-  Info = TraceInfo();
-  Buffer.clear();
-  EventSpans.clear();
-  StringTable.clear();
-  StackTable.clear();
-  KernelTable.clear();
-  return false;
-}
+//===----------------------------------------------------------------------===//
+// TraceReader
+//===----------------------------------------------------------------------===//
 
 bool TraceReader::open(const std::string &Path, SessionError &Err) {
   FilePath = Path;
   Loaded = false;
+  Info = TraceInfo();
+  Buffer.clear();
   std::FILE *In = std::fopen(Path.c_str(), "rb");
   if (!In) {
-    Err.assign("cannot open trace file '" + Path +
-               "': " + std::strerror(errno));
+    Err.assign("cannot open " + filePrefix(Path) + ": " +
+               std::strerror(errno));
     return false;
   }
-  Buffer.clear();
   unsigned char Chunk[1 << 16];
   std::size_t Got = 0;
   while ((Got = std::fread(Chunk, 1, sizeof(Chunk), In)) > 0)
     Buffer.insert(Buffer.end(), Chunk, Chunk + Got);
   bool ReadOk = std::ferror(In) == 0;
   std::fclose(In);
-  if (!ReadOk)
-    return fail(Err, "read error");
-  return scan(Err);
-}
-
-bool TraceReader::scan(SessionError &Err) {
-  Info = TraceInfo();
-  EventSpans.clear();
-  StringTable.clear();
-  StackTable.clear();
-  KernelTable.clear();
-  Info.FileBytes = Buffer.size();
-
-  if (Buffer.size() < HeaderSize)
-    return fail(Err, "truncated header: " + std::to_string(Buffer.size()) +
-                         " bytes, expected at least " +
-                         std::to_string(HeaderSize) +
-                         " (magic \"PASTATRC\" + version + flags)");
-  if (std::memcmp(Buffer.data(), Magic, sizeof(Magic)) != 0)
-    return fail(Err, "bad magic at offset 0: expected \"PASTATRC\"");
-
-  ByteReader Header(Buffer.data() + sizeof(Magic), HeaderSize - sizeof(Magic));
-  std::uint32_t FileVersion = 0;
-  std::uint32_t FileFlags = 0;
-  Header.readU32(FileVersion);
-  Header.readU32(FileFlags);
-  if (FileVersion != Version)
-    return fail(Err, "unsupported version " + std::to_string(FileVersion) +
-                         " at offset 8: expected version " +
-                         std::to_string(Version));
-  if ((FileFlags & ~KnownHeaderFlags) != 0)
-    return fail(Err, "unknown header flags " +
-                         hex32(FileFlags & ~KnownHeaderFlags) +
-                         " at offset 12: this build knows " +
-                         hex32(KnownHeaderFlags));
-  if ((FileFlags & kFlagStreamed) != 0)
-    return fail(Err, "streamed header flags " + hex32(FileFlags) +
-                         " at offset 12: this is a socket-stream dump, not a "
-                         "capture file (feed it to accelprof --serve)");
-
-  ByteReader Cursor(Buffer.data(), Buffer.size());
-  Cursor.skip(HeaderSize);
-  bool SawEnd = false;
-  std::uint64_t DeclaredEvents = 0;
-  std::uint32_t DeclaredStrings = 0;
-  std::uint32_t DeclaredStacks = 0;
-  std::uint32_t DeclaredKernels = 0;
-
-  while (!Cursor.atEnd()) {
-    std::size_t RecordOffset = Cursor.pos();
-    if (SawEnd)
-      return fail(Err, "trailing data after end-of-trace record at offset " +
-                           std::to_string(RecordOffset));
-    std::uint8_t Tag = 0;
-    std::uint32_t Length = 0;
-    if (!Cursor.readU8(Tag) || !Cursor.readU32(Length) ||
-        Cursor.remaining() < Length)
-      return fail(Err,
-                  "truncated record at offset " + std::to_string(RecordOffset));
-    std::size_t BodyOffset = Cursor.pos();
-    ByteReader Body(Buffer.data() + BodyOffset, Length);
-    Cursor.skip(Length);
-
-    switch (static_cast<RecordTag>(Tag)) {
-    case RecordTag::StringDef: {
-      std::string Content;
-      std::string Problem =
-          decodeStringDef(Buffer.data() + BodyOffset, Length,
-                          StringTable.size() + 1, RecordOffset, Content);
-      if (!Problem.empty())
-        return fail(Err, Problem);
-      StringTable.emplace_back(std::move(Content));
-      break;
-    }
-    case RecordTag::StackDef: {
-      PayloadStack::FrameList Frames;
-      std::string Problem =
-          decodeStackDef(Buffer.data() + BodyOffset, Length,
-                         StackTable.size() + 1, RecordOffset, Frames);
-      if (!Problem.empty())
-        return fail(Err, Problem);
-      StackTable.emplace_back(std::move(Frames));
-      break;
-    }
-    case RecordTag::KernelDef: {
-      auto Kernel = std::make_shared<sim::KernelDesc>();
-      std::string Problem =
-          decodeKernelDef(Buffer.data() + BodyOffset, Length,
-                          KernelTable.size() + 1, RecordOffset, *Kernel);
-      if (!Problem.empty())
-        return fail(Err, Problem);
-      KernelTable.push_back(std::move(Kernel));
-      break;
-    }
-    case RecordTag::EventRecord: {
-      RawEvent Raw;
-      std::string Problem;
-      if (!parseEventBody(Body, Raw, Problem))
-        return fail(Err, Problem + " in event record at offset " +
-                             std::to_string(RecordOffset));
-      Problem = checkEventRefs(Raw, StringTable.size(), StackTable.size(),
-                               KernelTable.size(), RecordOffset);
-      if (!Problem.empty())
-        return fail(Err, Problem);
-      if (EventSpans.empty())
-        Info.FirstTimestamp = Raw.Timestamp;
-      Info.LastTimestamp = Raw.Timestamp;
-      if (static_cast<EventKind>(Raw.Kind) == EventKind::KernelLaunch)
-        ++Info.KernelLaunches;
-      EventSpans.push_back({BodyOffset, Length});
-      break;
-    }
-    case RecordTag::End: {
-      EndCounts Counts;
-      std::string Problem =
-          decodeEndBody(Buffer.data() + BodyOffset, Length, RecordOffset,
-                        Counts);
-      if (!Problem.empty())
-        return fail(Err, Problem);
-      DeclaredEvents = Counts.Events;
-      DeclaredStrings = Counts.Strings;
-      DeclaredStacks = Counts.Stacks;
-      DeclaredKernels = Counts.Kernels;
-      SawEnd = true;
-      break;
-    }
-    default:
-      // Unknown tags are skippable by construction (length-prefixed) —
-      // the in-version forward-compat rule. A corrupted tag cannot hide
-      // an event: the End record's counts are cross-checked below.
-      break;
-    }
+  if (!ReadOk) {
+    Err.assign(filePrefix(Path) + ": read error");
+    Buffer.clear();
+    return false;
   }
 
-  if (!SawEnd)
-    return fail(Err, "truncated trace: missing end-of-trace record");
-  if (DeclaredEvents != EventSpans.size() ||
-      DeclaredStrings != StringTable.size() ||
-      DeclaredStacks != StackTable.size() ||
-      DeclaredKernels != KernelTable.size()) {
-    EndCounts Counts;
-    Counts.Events = DeclaredEvents;
-    Counts.Strings = DeclaredStrings;
-    Counts.Stacks = DeclaredStacks;
-    Counts.Kernels = DeclaredKernels;
-    return fail(Err, endCountMismatch(Counts, EventSpans.size(),
-                                      StringTable.size(), StackTable.size(),
-                                      KernelTable.size()));
+  // Validate every record before a single event is replayed: a decoder
+  // with no arena and no callback, run to the end of the file.
+  TraceStreamDecoder Check(nullptr, HeaderFlags, filePrefix(Path));
+  if (!Check.feed(Buffer.data(), Buffer.size(), nullptr, Err) ||
+      !Check.finish(Err)) {
+    Buffer.clear();
+    return false;
   }
-
-  Info.Events = EventSpans.size();
-  Info.Strings = StringTable.size();
-  Info.Stacks = StackTable.size();
-  Info.Kernels = KernelTable.size();
+  Info = Check.info();
   Loaded = true;
   return true;
 }
@@ -521,43 +425,24 @@ void TraceReader::forEachEvent(EventArena *Arena,
                                const std::function<void(Event &)> &Fn) {
   if (!Loaded)
     return;
-
-  // Re-intern the payload tables once, up front: internString/internStack
-  // reuse the table handles' existing allocations, so from here on every
-  // decoded event carries canonical arena handles and admission cost is
-  // reference-count bumps.
-  std::vector<PayloadString> Strings = StringTable;
-  std::vector<PayloadStack> Stacks = StackTable;
-  std::vector<std::shared_ptr<const sim::KernelDesc>> Kernels = KernelTable;
-  if (Arena) {
-    for (PayloadString &S : Strings)
-      S = Arena->internString(S);
-    for (PayloadStack &S : Stacks)
-      S = Arena->internStack(S);
-    for (std::shared_ptr<const sim::KernelDesc> &K : Kernels)
-      K = Arena->internKernel(*K);
-  }
-
-  for (const EventSpan &Span : EventSpans) {
-    ByteReader Body(Buffer.data() + Span.Offset, Span.Length);
-    RawEvent Raw;
-    std::string Problem;
-    // scan() already validated every record; a parse failure here would
-    // mean the buffer changed underneath us.
-    if (!parseEventBody(Body, Raw, Problem))
-      continue;
-    Event E = materializeEvent(Raw, Strings, Stacks, Kernels);
-    Fn(E);
-  }
+  // open() validated the buffer, so this pass cannot fail.
+  TraceStreamDecoder Decoder(Arena, HeaderFlags, filePrefix(FilePath));
+  SessionError Err;
+  Decoder.feed(Buffer.data(), Buffer.size(), Fn, Err);
 }
 
 //===----------------------------------------------------------------------===//
 // TraceStreamDecoder
 //===----------------------------------------------------------------------===//
 
+TraceStreamDecoder::TraceStreamDecoder(EventArena *Arena,
+                                       std::uint32_t ExpectedFlags,
+                                       std::string Source)
+    : Arena(Arena), ExpectedFlags(ExpectedFlags), Source(std::move(Source)) {}
+
 bool TraceStreamDecoder::fail(SessionError &Err, const std::string &Message) {
   Failed = true;
-  Err.assign("trace stream: " + Message);
+  Err.assign(Source + ": " + Message);
   return false;
 }
 
@@ -624,8 +509,10 @@ bool TraceStreamDecoder::decodeRecord(std::uint8_t Tag,
     if (static_cast<EventKind>(Raw.Kind) == EventKind::KernelLaunch)
       ++Info.KernelLaunches;
     ++Info.Events;
-    Event E = materializeEvent(Raw, Strings, Stacks, Kernels);
-    Fn(E);
+    if (Fn) {
+      Event E = materializeEvent(Raw, Strings, Stacks, Kernels);
+      Fn(E);
+    }
     return true;
   }
   case RecordTag::End: {
@@ -641,104 +528,112 @@ bool TraceStreamDecoder::decodeRecord(std::uint8_t Tag,
     return true;
   }
   default:
-    // In-version forward compat: unknown tags are skippable, exactly as
-    // in the file reader. The End counts still cross-check the tables.
+    // Unknown tags are skippable by construction (length-prefixed) —
+    // the in-version forward-compat rule. A corrupted tag cannot hide
+    // an event: the End record's counts cross-check the tables.
     return true;
   }
+}
+
+bool TraceStreamDecoder::decodeUnits(const unsigned char *Data,
+                                     std::size_t Size,
+                                     const std::function<void(Event &)> &Fn,
+                                     SessionError &Err, std::size_t &Used) {
+  Used = 0;
+  while (true) {
+    const unsigned char *Unit = Data + Used;
+    std::size_t Avail = Size - Used;
+    if (SawEnd && Avail > 0)
+      return fail(Err, "trailing data after end-of-trace record at offset " +
+                           std::to_string(BaseOffset));
+    std::size_t UnitSize = HeaderSize;
+    if (!SawHeader) {
+      if (Avail < HeaderSize)
+        return true;
+      std::string Problem = headerProblem(Unit, ExpectedFlags);
+      if (!Problem.empty())
+        return fail(Err, Problem);
+      SawHeader = true;
+    } else {
+      if (Avail < RecordPrefixSize)
+        return true;
+      ByteReader Prefix(Unit, RecordPrefixSize);
+      std::uint8_t Tag = 0;
+      std::uint32_t Length = 0;
+      Prefix.readU8(Tag);
+      Prefix.readU32(Length);
+      if (ExpectedFlags == kFlagStreamed && Length > MaxStreamRecordBytes)
+        return fail(Err, "oversized record (" + std::to_string(Length) +
+                             " bytes) at offset " + std::to_string(BaseOffset));
+      UnitSize = RecordPrefixSize + Length;
+      if (Avail < UnitSize)
+        return true;
+      if (!decodeRecord(Tag, Unit + RecordPrefixSize, Length, BaseOffset, Fn,
+                        Err))
+        return false;
+    }
+    Used += UnitSize;
+    BaseOffset += UnitSize;
+  }
+}
+
+std::size_t TraceStreamDecoder::pendingUnitSize() const {
+  if (!SawHeader)
+    return HeaderSize;
+  if (Pending.size() < RecordPrefixSize)
+    return RecordPrefixSize;
+  ByteReader Prefix(Pending.data() + 1, RecordPrefixSize - 1);
+  std::uint32_t Length = 0;
+  Prefix.readU32(Length);
+  return RecordPrefixSize + Length;
 }
 
 bool TraceStreamDecoder::feed(const unsigned char *Data, std::size_t Size,
                               const std::function<void(Event &)> &Fn,
                               SessionError &Err) {
   if (Failed) {
-    Err.assign("trace stream: decoder already failed");
+    Err.assign(Source + ": decoder already failed");
     return false;
   }
-  Pending.insert(Pending.end(), Data, Data + Size);
   Info.FileBytes += Size;
-
-  std::size_t Consumed = 0;
-  bool Ok = true;
-  while (Ok) {
-    std::size_t Avail = Pending.size() - Consumed;
-    if (!SawHeader) {
-      if (Avail < HeaderSize)
-        break;
-      const unsigned char *Head = Pending.data() + Consumed;
-      if (std::memcmp(Head, Magic, sizeof(Magic)) != 0) {
-        Ok = fail(Err, "bad magic at offset 0: expected \"PASTATRC\"");
-        break;
-      }
-      ByteReader Header(Head + sizeof(Magic), HeaderSize - sizeof(Magic));
-      std::uint32_t StreamVersion = 0;
-      std::uint32_t StreamFlags = 0;
-      Header.readU32(StreamVersion);
-      Header.readU32(StreamFlags);
-      if (StreamVersion != Version) {
-        Ok = fail(Err, "unsupported version " + std::to_string(StreamVersion) +
-                           " at offset 8: expected version " +
-                           std::to_string(Version));
-        break;
-      }
-      if (StreamFlags != kFlagStreamed) {
-        Ok = fail(Err, "unexpected stream header flags " + hex32(StreamFlags) +
-                           " at offset 12: expected " + hex32(kFlagStreamed));
-        break;
-      }
-      Consumed += HeaderSize;
-      SawHeader = true;
-      continue;
-    }
-    if (Avail < RecordPrefixSize)
-      break;
-    std::size_t RecordOffset = BaseOffset + Consumed;
-    if (SawEnd) {
-      Ok = fail(Err, "trailing data after end-of-trace record at offset " +
-                         std::to_string(RecordOffset));
-      break;
-    }
-    const unsigned char *Prefix = Pending.data() + Consumed;
-    ByteReader PrefixCursor(Prefix, RecordPrefixSize);
-    std::uint8_t Tag = 0;
-    std::uint32_t Length = 0;
-    PrefixCursor.readU8(Tag);
-    PrefixCursor.readU32(Length);
-    if (Length > MaxStreamRecordBytes) {
-      Ok = fail(Err, "oversized record (" + std::to_string(Length) +
-                         " bytes) at offset " + std::to_string(RecordOffset));
-      break;
-    }
-    if (Avail < RecordPrefixSize + Length)
-      break;
-    Ok = decodeRecord(Tag, Prefix + RecordPrefixSize, Length, RecordOffset,
-                      Fn, Err);
-    if (Ok)
-      Consumed += RecordPrefixSize + Length;
+  std::size_t Used = 0;
+  // An earlier chunk ended inside a unit: top Pending up to that unit's
+  // size (first its record prefix, then its body) and decode it there.
+  while (!Pending.empty() && Size > 0) {
+    std::size_t Take = std::min(Size, pendingUnitSize() - Pending.size());
+    Pending.insert(Pending.end(), Data, Data + Take);
+    Data += Take;
+    Size -= Take;
+    if (!decodeUnits(Pending.data(), Pending.size(), Fn, Err, Used))
+      return false;
+    if (Used == Pending.size())
+      Pending.clear();
   }
-  BaseOffset += Consumed;
-  Pending.erase(Pending.begin(),
-                Pending.begin() + static_cast<std::ptrdiff_t>(Consumed));
-  return Ok;
+  // Complete units decode straight from the caller's bytes; only an
+  // incomplete trailing unit is copied.
+  if (!decodeUnits(Data, Size, Fn, Err, Used))
+    return false;
+  Pending.insert(Pending.end(), Data + Used, Data + Size);
+  return true;
 }
 
 bool TraceStreamDecoder::finish(SessionError &Err) {
   if (Failed) {
-    Err.assign("trace stream: decoder already failed");
+    Err.assign(Source + ": decoder already failed");
     return false;
   }
-  if (!SawEnd) {
-    if (!SawHeader)
-      return fail(Err, "truncated stream: connection closed before a "
-                       "complete header (" +
-                           std::to_string(Pending.size()) + " of " +
-                           std::to_string(HeaderSize) + " bytes)");
-    return fail(Err,
-                "truncated stream: missing end-of-trace record (connection "
-                "closed at offset " +
-                    std::to_string(BaseOffset + Pending.size()) + ")");
-  }
-  if (!Pending.empty())
-    return fail(Err, "trailing data after end-of-trace record at offset " +
-                         std::to_string(BaseOffset));
-  return true;
+  if (SawEnd)
+    return true;
+  std::string Problem =
+      !SawHeader ? "truncated header: " + std::to_string(Pending.size()) +
+                       " bytes, expected at least " +
+                       std::to_string(HeaderSize) +
+                       " (magic \"PASTATRC\" + version + flags)"
+      : !Pending.empty()
+          ? "truncated record at offset " + std::to_string(BaseOffset)
+          : std::string("missing end-of-trace record");
+  if (ExpectedFlags == kFlagStreamed)
+    Problem += " (truncated stream: connection closed at offset " +
+               std::to_string(BaseOffset + Pending.size()) + ")";
+  return fail(Err, Problem);
 }

@@ -6,23 +6,26 @@
 ///
 /// \file
 /// Loads a PASTA binary trace (TraceFormat.h / docs/TRACE_FORMAT.md)
-/// back into Events. open() reads the whole file and performs a full
-/// structural scan up front — header, every record prefix, every field
-/// range, every payload-table reference, and the required End record —
-/// so corruption, truncation and version mismatches fail at session
-/// *build* time with a SessionError naming the file, byte offset and
-/// expected magic/version. There is no partial-replay mode: a trace
-/// either validates completely or yields zero events.
+/// back into Events. The record grammar lives in one place,
+/// TraceStreamDecoder; TraceReader is its file front end.
 ///
-/// forEachEvent() re-interns the payload tables into the session's
-/// EventArena once, up front; decoding an event then costs refcount
-/// bumps on canonical handles — the replay-admission fast path.
+/// open() reads the whole file and runs it through a decoder with no
+/// arena and no callback, to the end: header, every record prefix,
+/// every field range and count, every payload-table reference, and the
+/// required End record are checked, so corruption, truncation and
+/// version mismatches fail at session *build* time with a SessionError
+/// naming the file, byte offset and expected magic/version. There is no
+/// partial-replay mode: a trace either validates completely or yields
+/// zero events.
 ///
-/// TraceStreamDecoder is the incremental sibling: the same record
-/// grammar and the same validation, but fed arbitrary byte chunks as
-/// they arrive off a socket (`accelprof --serve`, docs/SERVE.md), with
-/// events surfaced as soon as their record is complete instead of
-/// after a whole-file scan.
+/// forEachEvent() runs a fresh decoder over the same buffer with the
+/// session's EventArena. Each payload definition is interned as it is
+/// read, so decoding an event costs refcount bumps on canonical
+/// handles — the replay-admission fast path.
+///
+/// `accelprof --serve` (docs/SERVE.md) feeds the same decoder arbitrary
+/// byte chunks as they arrive off a socket, with events surfaced as
+/// soon as their record is complete.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +34,7 @@
 
 #include "pasta/EventArena.h"
 #include "pasta/SessionError.h"
+#include "pasta/TraceFormat.h"
 
 #include <cstdint>
 #include <functional>
@@ -78,71 +82,65 @@ public:
   const TraceInfo &info() const { return Info; }
 
   /// Decodes every event in stream order and hands it to \p Fn. When
-  /// \p Arena is non-null the payload tables are re-interned into it
-  /// first, so the handles each decoded event carries are canonical
-  /// arena handles and per-event cost is reference-count bumps. May be
-  /// called repeatedly (each call re-interns; interning is idempotent).
+  /// \p Arena is non-null each payload definition is interned into it
+  /// as it is read, so the handles each decoded event carries are
+  /// canonical arena handles and per-event cost is reference-count
+  /// bumps. May be called repeatedly (interning is idempotent).
   void forEachEvent(EventArena *Arena,
                     const std::function<void(Event &)> &Fn);
 
 private:
-  bool scan(SessionError &Err);
-  bool fail(SessionError &Err, const std::string &Message);
-
   std::string FilePath;
   bool Loaded = false;
   TraceInfo Info;
-  /// Whole-file buffer; EventOffsets index record *bodies* inside it.
+  /// Whole-file buffer, validated by open().
   std::vector<unsigned char> Buffer;
-  struct EventSpan {
-    std::size_t Offset = 0;
-    std::uint32_t Length = 0;
-  };
-  std::vector<EventSpan> EventSpans;
-  /// Payload tables decoded at open() (index = id - 1).
-  std::vector<PayloadString> StringTable;
-  std::vector<PayloadStack> StackTable;
-  std::vector<std::shared_ptr<const sim::KernelDesc>> KernelTable;
 };
 
-/// Incremental decoder for one *streamed* PASTA trace — the byte
-/// stream a TraceStreamSink connection carries (a trace whose header
-/// flags word is trace::kFlagStreamed). feed() accepts arbitrary byte
-/// chunks; transport frame boundaries need not align with record
-/// boundaries. Every record that completes is decoded immediately and
-/// each event is handed to the callback with payload handles interned
-/// into the target arena, so admission into the aggregator's tenant
-/// session costs refcount bumps exactly as in file replay.
+/// Incremental decoder for one PASTA trace — the only implementation
+/// of the record grammar. feed() accepts arbitrary byte chunks;
+/// transport frame boundaries need not align with record boundaries.
+/// Complete records decode straight from the caller's bytes and only
+/// an incomplete trailing record is buffered. Each event is handed to
+/// the callback with payload handles interned into the target arena,
+/// so admission into the aggregator's tenant session costs refcount
+/// bumps exactly as in file replay.
 ///
-/// Validation matches TraceReader record for record: sequential table
-/// ids, payload-reference ranges, enum ranges, oversized/truncated
-/// bodies, End-record count cross-check, and no trailing data after
+/// Validation: header magic, version and flags word; sequential table
+/// ids; payload-reference, enum and count ranges; oversized/truncated
+/// bodies; End-record count cross-check; and no trailing data after
 /// End. The first violation latches the decoder failed with a
-/// diagnostic naming the absolute stream byte offset; a failed decoder
+/// diagnostic naming the absolute byte offset; a failed decoder
 /// ignores further feed() calls, so one malformed client cannot smear
 /// partial records into a tenant session.
 ///
 /// Not thread-safe; the owning connection feeds it from one thread.
 class TraceStreamDecoder {
 public:
-  /// \p Arena receives interned payloads (may be null in tests; events
-  /// then carry per-stream handles).
-  explicit TraceStreamDecoder(EventArena *Arena) : Arena(Arena) {}
+  /// \p Arena receives interned payloads (may be null: events then
+  /// carry per-decoder handles). \p ExpectedFlags is the header flags
+  /// word the input must carry: trace::kFlagStreamed for a socket
+  /// stream, whose records are capped at 16 MiB, or trace::HeaderFlags
+  /// for a capture file. \p Source prefixes every diagnostic.
+  explicit TraceStreamDecoder(
+      EventArena *Arena, std::uint32_t ExpectedFlags = trace::kFlagStreamed,
+      std::string Source = "trace stream");
 
-  /// Consumes \p Size bytes, invoking \p Fn once per completed event.
-  /// False on the first structural violation (decoder is then dead).
+  /// Consumes \p Size bytes, invoking \p Fn (may be empty) once per
+  /// completed event. False on the first structural violation (decoder
+  /// is then dead).
   bool feed(const unsigned char *Data, std::size_t Size,
             const std::function<void(Event &)> &Fn, SessionError &Err);
 
-  /// Declares end-of-stream: a stream that stops before its End record
-  /// (or mid-record) is truncated, same as a truncated capture file.
+  /// Declares end of input: input that stops before its End record (or
+  /// mid-record) is truncated.
   bool finish(SessionError &Err);
 
   /// True once the End record arrived and its counts cross-checked.
   bool finished() const { return SawEnd; }
   bool failed() const { return Failed; }
 
-  /// Running totals (FileBytes counts stream bytes consumed so far).
+  /// Running totals (FileBytes counts bytes fed so far).
   const TraceInfo &info() const { return Info; }
 
 private:
@@ -152,10 +150,19 @@ private:
                     std::uint32_t Length, std::size_t RecordOffset,
                     const std::function<void(Event &)> &Fn,
                     SessionError &Err);
+  /// Decodes every complete unit (header or record) at the front of
+  /// \p Data; \p Used is set to the bytes they span.
+  bool decodeUnits(const unsigned char *Data, std::size_t Size,
+                   const std::function<void(Event &)> &Fn, SessionError &Err,
+                   std::size_t &Used);
+  /// Total size of the unit Pending starts, as far as its bytes tell.
+  std::size_t pendingUnitSize() const;
 
   EventArena *Arena;
-  /// Unconsumed tail of the stream; BaseOffset is the absolute stream
-  /// offset of Pending[0].
+  std::uint32_t ExpectedFlags;
+  std::string Source;
+  /// The incomplete unit a chunk ended in; BaseOffset is the absolute
+  /// offset of the next undecoded unit (Pending[0] when buffered).
   std::vector<unsigned char> Pending;
   std::size_t BaseOffset = 0;
   bool SawHeader = false;

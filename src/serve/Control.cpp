@@ -7,7 +7,6 @@
 #include "serve/Control.h"
 
 #include "pasta/StreamEnvelope.h"
-#include "pasta/TraceReader.h"
 #include "support/FaultInjector.h"
 
 #include <cerrno>

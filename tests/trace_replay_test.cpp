@@ -570,6 +570,173 @@ TEST(TraceRobustnessTest, DanglingPayloadReferenceIsRejected) {
       << Err.message();
 }
 
+namespace {
+
+/// A header with \p Flags followed by one record, and no End record.
+std::vector<unsigned char> oneRecordTrace(trace::RecordTag Tag,
+                                          const std::string &Body,
+                                          std::uint32_t Flags) {
+  std::string Bytes;
+  Bytes.append(trace::Magic, sizeof(trace::Magic));
+  trace::appendU32(Bytes, trace::Version);
+  trace::appendU32(Bytes, Flags);
+  trace::appendU8(Bytes, static_cast<std::uint8_t>(Tag));
+  trace::appendU32(Bytes, static_cast<std::uint32_t>(Body.size()));
+  Bytes.append(Body);
+  return std::vector<unsigned char>(Bytes.begin(), Bytes.end());
+}
+
+/// Feeds \p Bytes to a fresh stream decoder in \p Chunk-byte pieces,
+/// then finishes it. Returns acceptance; \p Events counts decoded events.
+bool decodeStream(const std::vector<unsigned char> &Bytes, std::size_t Chunk,
+                  std::uint64_t &Events, SessionError &Err) {
+  TraceStreamDecoder Decoder(nullptr);
+  Events = 0;
+  for (std::size_t Pos = 0; Pos < Bytes.size(); Pos += Chunk) {
+    std::size_t Len = std::min(Chunk, Bytes.size() - Pos);
+    if (!Decoder.feed(Bytes.data() + Pos, Len, [&](Event &) { ++Events; },
+                      Err))
+      return false;
+  }
+  return Decoder.finish(Err);
+}
+
+/// A record whose element count claims far more than its body holds
+/// must fail with \p Expected on both the file and the stream path,
+/// before anything is allocated for the count.
+void expectHostileCountRejected(trace::RecordTag Tag, const std::string &Body,
+                                const std::string &Expected) {
+  std::string Path = tempTracePath("hostile");
+  writeFileBytes(Path, oneRecordTrace(Tag, Body, trace::HeaderFlags));
+  TraceReader Reader;
+  SessionError Err;
+  EXPECT_FALSE(Reader.open(Path, Err));
+  EXPECT_NE(Err.message().find("trace file '"), std::string::npos)
+      << Err.message();
+  EXPECT_NE(Err.message().find(Expected), std::string::npos)
+      << Err.message();
+
+  std::vector<unsigned char> Stream =
+      oneRecordTrace(Tag, Body, trace::kFlagStreamed);
+  TraceStreamDecoder Decoder(nullptr);
+  SessionError StreamErr;
+  EXPECT_FALSE(
+      Decoder.feed(Stream.data(), Stream.size(), [](Event &) {}, StreamErr));
+  EXPECT_TRUE(Decoder.failed());
+  EXPECT_NE(StreamErr.message().find(Expected), std::string::npos)
+      << StreamErr.message();
+}
+
+/// The fixed fields of an event record, up to and including the tensor
+/// flag.
+std::string eventFixedFields(EventKind Kind, std::uint8_t TensorFlag) {
+  std::string Body;
+  trace::appendU8(Body, static_cast<std::uint8_t>(Kind));
+  trace::appendU8(Body, 0);  // vendor
+  trace::appendI32(Body, 0); // device
+  trace::appendU32(Body, 0); // stream
+  trace::appendU64(Body, 0); // timestamp
+  trace::appendU64(Body, 0); // address
+  trace::appendU64(Body, 0); // bytes
+  trace::appendU8(Body, 0);  // managed
+  trace::appendU8(Body, 0);  // direction
+  trace::appendU64(Body, 0); // grid id
+  trace::appendU32(Body, 0); // kernel ref
+  trace::appendU64(Body, 0); // pool allocated
+  trace::appendU64(Body, 0); // pool reserved
+  trace::appendU32(Body, 0); // op name
+  trace::appendU32(Body, 0); // layer name
+  trace::appendU8(Body, 0);  // phase
+  trace::appendU32(Body, 0); // stack
+  trace::appendU8(Body, TensorFlag);
+  return Body;
+}
+
+} // namespace
+
+TEST(TraceRobustnessTest, HostileStackFrameCountIsRejected) {
+  std::string Body;
+  trace::appendU32(Body, 1);          // stack id
+  trace::appendU32(Body, 0xffffffff); // frame count
+  ASSERT_EQ(oneRecordTrace(trace::RecordTag::StackDef, Body, 0).size(), 29u);
+  expectHostileCountRejected(trace::RecordTag::StackDef, Body,
+                             "stack frame count 4294967295 exceeds the body "
+                             "of the stack definition at offset 16");
+}
+
+TEST(TraceRobustnessTest, HostileKernelSegmentCountIsRejected) {
+  std::string Body;
+  trace::appendU32(Body, 1); // kernel id
+  trace::appendString(Body, "k");
+  for (int I = 0; I < 6; ++I)
+    trace::appendU32(Body, 1); // grid + block
+  trace::appendF64(Body, 0.0); // flops
+  trace::appendF64(Body, 0.0); // compute instrs per access
+  trace::appendU64(Body, 0);   // static instrs
+  trace::appendU32(Body, 0);   // barriers per block
+  trace::appendU64(Body, 0);   // shared mem per block
+  trace::appendU32(Body, 0xffffffff); // segment count
+  expectHostileCountRejected(trace::RecordTag::KernelDef, Body,
+                             "access segment count 4294967295 exceeds the "
+                             "body of the kernel definition at offset 16");
+}
+
+TEST(TraceRobustnessTest, HostileTensorRankIsRejected) {
+  std::string Body = eventFixedFields(EventKind::TensorAlloc, 1);
+  trace::appendU64(Body, 7); // tensor id
+  trace::appendString(Body, "t");
+  trace::appendU32(Body, 0xffffffff); // rank
+  expectHostileCountRejected(trace::RecordTag::EventRecord, Body,
+                             "tensor rank 4294967295 exceeds the remaining "
+                             "body bytes in event record at offset 16");
+}
+
+TEST(TraceRobustnessTest, BodyBitFlipFuzzFileAndStreamAgree) {
+  // One grammar: every single-bit corruption after the header is judged
+  // the same by the file reader and by the stream decoder fed the same
+  // bytes (with the streamed header) in 7-byte chunks — and neither
+  // crashes.
+  std::string Path = tempTracePath("body_fuzz_src");
+  writeTrace(Path, makeRichStream(4));
+  std::vector<unsigned char> Pristine = readFileBytes(Path);
+  ASSERT_GT(Pristine.size(), trace::HeaderSize + 20);
+
+  std::string Mutated = tempTracePath("body_fuzz_mut");
+  std::size_t Accepted = 0;
+  for (std::size_t Byte = trace::HeaderSize; Byte < Pristine.size(); ++Byte) {
+    for (int Bit = 0; Bit < 8; ++Bit) {
+      std::vector<unsigned char> Bytes = Pristine;
+      Bytes[Byte] ^= static_cast<unsigned char>(1u << Bit);
+      writeFileBytes(Mutated, Bytes);
+      TraceReader Reader;
+      SessionError FileErr;
+      bool FileOk = Reader.open(Mutated, FileErr);
+
+      Bytes[12] = static_cast<unsigned char>(trace::kFlagStreamed);
+      std::uint64_t StreamEvents = 0;
+      SessionError StreamErr;
+      bool StreamOk = decodeStream(Bytes, 7, StreamEvents, StreamErr);
+      ASSERT_EQ(FileOk, StreamOk)
+          << "byte " << Byte << " bit " << Bit << ": file says '"
+          << FileErr.message() << "', stream says '" << StreamErr.message()
+          << "'";
+      if (!FileOk)
+        continue;
+      ++Accepted;
+      // An accepted trace ends in its 20-byte End record body.
+      std::uint64_t Declared = 0;
+      trace::ByteReader End(Bytes.data() + Bytes.size() - 20, 20);
+      ASSERT_TRUE(End.readU64(Declared));
+      std::uint64_t FileEvents = 0;
+      Reader.forEachEvent(nullptr, [&](Event &) { ++FileEvents; });
+      EXPECT_EQ(FileEvents, Declared) << "byte " << Byte << " bit " << Bit;
+      EXPECT_EQ(StreamEvents, Declared) << "byte " << Byte << " bit " << Bit;
+    }
+  }
+  // Payload bits (timestamps, addresses, string bytes) are free to flip.
+  EXPECT_GT(Accepted, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // TraceReplayTest: capture -> replay determinism, per registered tool
 //===----------------------------------------------------------------------===//
